@@ -1,7 +1,7 @@
 """Command-line surface: plan, compress, verify, bench, distill, report.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure
-(NaN / non-convergence / failed verification), 4 infeasible target.
+(NaN / divergence / failed verification), 4 infeasible target.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import distill as kd
 from .kron import FactorShape, KronFactorPair, kron_flops, kron_matmul, kron_matvec, kron_product
 from .model import (DenseEmbedding, build_dense_model, forward,
                     init_student_from_teacher, model_from_store, model_to_store)
-from .nkp import PowerIterationError, nearest_kronecker
+from .nkp import nearest_kronecker
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, count_flops,
                       count_params, flops_breakdown, make_plan, plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
@@ -106,9 +106,8 @@ def cmd_compress(args) -> int:
     arch = ArchSpec.load(args.arch)
     plan = _load_plan(args.plan, arch)
     store = NamedTensorStore.load(args.checkpoint)
-    rng = make_rng(_seed_from(args))
     out = NamedTensorStore()
-    residuals: list[tuple[str, float]] = []
+    rows: list[tuple[str, float, float]] = []
 
     def shape_for(name: str) -> FactorShape | None:
         if name == "embedding.dense":
@@ -133,10 +132,10 @@ def cmd_compress(args) -> int:
                   f"{shape.rows}x{shape.cols}", file=sys.stderr)
             return EXIT_VALIDATION
         try:
-            res = nearest_kronecker(m, shape, tol=args.tol, rng=rng)
-        except PowerIterationError as exc:
+            res = nearest_kronecker(m, shape)
+        except ValueError as exc:  # non-finite entries
             print(f"compress: {name}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            return EXIT_VALIDATION
         base = name[: -len(".dense")]
         if name == "embedding.dense":
             out.add("embedding.table", res.factors.a)
@@ -145,11 +144,11 @@ def cmd_compress(args) -> int:
             out.add(f"{base}.a", res.factors.a)
             out.add(f"{base}.b", res.factors.b)
         rel = res.residual / max(float(np.linalg.norm(m)), 1e-300)
-        residuals.append((name, rel))
+        rows.append((name, rel, res.retained_energy))
     out.save(args.out)
-    print(f"{'tensor':40s} relative residual")
-    for name, rel in residuals:
-        print(f"{name:40s} {rel:.3e}")
+    print(f"{'tensor':40s} {'relative residual':>17s} {'retained energy':>15s}")
+    for name, rel, energy in rows:
+        print(f"{name:40s} {rel:17.3e} {energy:15.6f}")
     return EXIT_OK
 
 
@@ -269,15 +268,12 @@ def cmd_distill(args) -> int:
         return EXIT_VALIDATION
     t0 = time.perf_counter()
     try:
-        student, _ = init_student_from_teacher(teacher, plan, rng=make_rng(seed + 2))
+        student, _ = init_student_from_teacher(teacher, plan)
         history = kd.train(student, teacher, data,
                            kd.TrainConfig(stage=args.stage, steps=args.steps,
                                           lr=args.lr, seed=seed, clip=1.0))
     except kd.TrainDivergedError as exc:
         print(f"distill: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PowerIterationError as exc:
-        print(f"distill: initialization failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     model_to_store(student).save(args.out)
     if args.history:
@@ -325,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plan")
     p.add_argument("--arch", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_compress)
 
     p = sub.add_parser("verify", help="run the oracle checks on a checkpoint")

@@ -282,8 +282,7 @@ def run_ablation(arch: ArchSpec, plan, seed: int = 0, teacher_steps: int = 1500,
     results = {"teacher": eval_metrics(teacher, teacher, eval_data), "regimes": {}}
     half = student_steps // 2
     for pretrain, finetune in REGIMES:
-        student, _ = init_student_from_teacher(teacher, plan,
-                                               rng=np.random.default_rng(seed + 2))
+        student, _ = init_student_from_teacher(teacher, plan)
         proj = make_projection(arch.hidden)
         history: list[dict] = []
         remaining = student_steps

@@ -308,10 +308,10 @@ def build_dense_model(arch: ArchSpec, rng: np.random.Generator,
     return TransformerModel(arch, emb, position, emb_g, emb_b, layers, head_w, head_b)
 
 
-def _nkp_weight(name: str, w: np.ndarray, shape: FactorShape, tol, rng,
+def _nkp_weight(name: str, w: np.ndarray, shape: FactorShape,
                 residuals: dict[str, float]) -> KronWeight:
     try:
-        res = nearest_kronecker(w, shape, tol=tol, rng=rng)
+        res = nearest_kronecker(w, shape)
     except Exception as exc:
         raise RuntimeError(f"factor initialization failed for {name!r}: {exc}") from exc
     residuals[name] = res.residual
@@ -319,19 +319,19 @@ def _nkp_weight(name: str, w: np.ndarray, shape: FactorShape, tol, rng,
 
 
 def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
-                              tol: float = 1e-10,
                               rng: np.random.Generator | None = None,
                               ) -> tuple[TransformerModel, dict[str, float]]:
     """Compress a dense teacher: factorized groups get their nearest
-    Kronecker approximation, everything else is copied verbatim."""
+    Kronecker approximation, everything else is copied verbatim.
+
+    The result is deterministic; ``rng`` is unused and kept only so that
+    existing callers that pass it keep working."""
     arch = teacher.arch
     d = arch.hidden
     if plan.attention_shape.rows != d or plan.attention_shape.cols != d:
         raise ShapeError(f"attention shape {plan.attention_shape} does not fit {d}x{d}")
     if d % plan.embedding_n != 0:
         raise ShapeError(f"embedding_n={plan.embedding_n} does not divide {d}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     residuals: dict[str, float] = {}
 
     def copy(t: Tensor) -> Tensor:
@@ -340,7 +340,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     if not isinstance(teacher.embedding, DenseEmbedding):
         raise ShapeError("teacher must be dense")
     emb_shape = FactorShape(arch.vocab_size, d // plan.embedding_n, 1, plan.embedding_n)
-    kw = _nkp_weight("embedding", teacher.embedding.table.value, emb_shape, tol, rng, residuals)
+    kw = _nkp_weight("embedding", teacher.embedding.table.value, emb_shape, residuals)
     embedding = KronEmbedding(table=kw.a, row=kw.b)
 
     layers = []
@@ -348,7 +348,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
         def factor(key, wobj, shape):
             if not isinstance(wobj, DenseWeight):
                 raise ShapeError("teacher must be dense")
-            return _nkp_weight(f"layer.{i}.{key}", wobj.w.value, shape, tol, rng, residuals)
+            return _nkp_weight(f"layer.{i}.{key}", wobj.w.value, shape, residuals)
         attn = AttentionWeights(
             wq=factor("attn.wq", lay.attn.wq, plan.attention_shape),
             wk=factor("attn.wk", lay.attn.wk, plan.attention_shape),
@@ -368,13 +368,12 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     return student, residuals
 
 
-def exact_kron_model(teacher: TransformerModel, plan: CompressionPlan,
-                     rng: np.random.Generator | None = None) -> TransformerModel:
+def exact_kron_model(teacher: TransformerModel, plan: CompressionPlan) -> TransformerModel:
     """Teacher rebuilt with factor pairs that reproduce its weights exactly.
 
     Only valid when the teacher's weights are themselves exact Kronecker
     products of the planned shapes; used by equivalence tests."""
-    student, residuals = init_student_from_teacher(teacher, plan, rng=rng)
+    student, residuals = init_student_from_teacher(teacher, plan)
     worst = max(residuals.values())
     if worst > 1e-6:
         raise ValueError(f"teacher weights are not exact Kronecker products (residual {worst:.3e})")

@@ -1,8 +1,9 @@
 """Nearest-Kronecker-product approximation.
 
 A dense W is rearranged so that Kronecker separability becomes rank-1
-structure; the dominant singular triplet of the rearrangement (power
-iteration, seeded start) then yields the Frobenius-optimal factor pair.
+structure (Van Loan & Pitsianis, 1993); the dominant singular triplet of the
+rearrangement, taken from one thin SVD, then yields the Frobenius-optimal
+factor pair.
 """
 
 from __future__ import annotations
@@ -15,24 +16,13 @@ from .kron import FactorShape, KronFactorPair, kron_product
 from .tensor import ShapeError
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration hit max_iter before meeting the tolerance."""
-
-    def __init__(self, msg: str, last_sigma: float, last_u: np.ndarray, last_v: np.ndarray,
-                 iterations: int):
-        super().__init__(msg)
-        self.last_sigma = last_sigma
-        self.last_u = last_u
-        self.last_v = last_v
-        self.iterations = iterations
-
-
 @dataclass(frozen=True)
 class NkpResult:
     factors: KronFactorPair
     residual: float
-    iterations: int
+    iterations: int  # always 0: direct solver, kept for callers that read it
     sigma: float  # dominant singular value of the rearranged matrix
+    retained_energy: float  # sigma^2 / ||W||_F^2; 0.0 for the zero matrix
 
 
 def rearrange(w: np.ndarray, shape: FactorShape) -> np.ndarray:
@@ -53,67 +43,26 @@ def rearrange(w: np.ndarray, shape: FactorShape) -> np.ndarray:
     return w4.transpose(0, 2, 3, 1).reshape(m1 * n1, n2 * m2)
 
 
-def dominant_singular_triplet(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000,
-                              rng: np.random.Generator | None = None,
-                              strict: bool = True) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Dominant (sigma, u, v) of ``m`` by power iteration on M^T M.
-
-    Converged when the singular-pair residual ||M^T u - sigma v|| drops below
-    tol * ||M||_F. With strict=False the last iterate is returned instead of
-    raising on non-convergence.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    fro = float(np.linalg.norm(m))
-    if fro == 0.0:
-        raise ValueError("dominant_singular_triplet: zero matrix")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    sigma, u = 0.0, np.zeros(m.shape[0])
-    for it in range(1, max_iter + 1):
-        w = m @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:  # start vector landed in the null space; re-draw
-            v = rng.standard_normal(m.shape[1])
-            v /= np.linalg.norm(v)
-            continue
-        u = w / sigma
-        z = m.T @ u
-        resid = float(np.linalg.norm(z - sigma * v))
-        v_next = z / np.linalg.norm(z)
-        if resid <= tol * fro:
-            return sigma, u, v_next, it
-        v = v_next
-    if strict:
-        raise PowerIterationError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(last residual {resid:.3e}, tol {tol * fro:.3e})",
-            sigma, u, v, max_iter)
-    return sigma, u, v, max_iter
-
-
-def nearest_kronecker(w: np.ndarray, shape: FactorShape, tol: float = 1e-10,
-                      rng: np.random.Generator | None = None,
-                      max_iter: int = 10_000, strict: bool = True) -> NkpResult:
+def nearest_kronecker(w: np.ndarray, shape: FactorShape) -> NkpResult:
     """Frobenius-optimal (A, B) of the given split for a dense W.
 
     sigma is split evenly between the factors and the sign is fixed so A's
     largest-magnitude entry is nonnegative; the product A (x) B is invariant
-    under this gauge.
+    under this gauge. Raises ValueError if W has a NaN or infinite entry,
+    on which LAPACK's SVD fails or does not return.
     """
     m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
+    if not np.all(np.isfinite(w)):
+        raise ValueError("nearest_kronecker: W has non-finite entries")
     if not np.any(w):
         zero = KronFactorPair(np.zeros((m1, n1)), np.zeros((m2, n2)))
-        return NkpResult(zero, 0.0, 0, 0.0)
-    r = rearrange(w, shape)
-    sigma, u, v, iters = dominant_singular_triplet(r, tol=tol, max_iter=max_iter,
-                                                  rng=rng, strict=strict)
+        return NkpResult(zero, 0.0, 0, 0.0, 0.0)
+    us, s, vt = np.linalg.svd(rearrange(w, shape), full_matrices=False)
+    sigma, u, v = float(s[0]), us[:, 0], vt[0]
     a = np.sqrt(sigma) * u.reshape(m1, n1)        # undoes the row (i*n1 + j) flattening
     b = np.sqrt(sigma) * v.reshape(n2, m2).T      # undoes the column-stacked block vec
     if a.flat[np.argmax(np.abs(a))] < 0:
         a, b = -a, -b
     pair = KronFactorPair(a, b)
     residual = float(np.linalg.norm(w - kron_product(pair)))
-    return NkpResult(pair, residual, iters, sigma)
+    return NkpResult(pair, residual, 0, sigma, sigma ** 2 / float(np.sum(s ** 2)))

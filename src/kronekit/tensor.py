@@ -137,9 +137,13 @@ class NamedTensorStore:
             for _ in range(count):
                 (name_len,) = struct.unpack_from("<H", data, off)
                 off += 2
-                name = data[off : off + name_len].decode("utf-8")
                 if len(data) < off + name_len:
                     raise struct.error("name truncated")
+                try:
+                    name = data[off : off + name_len].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise StoreError(f"{path}: tensor name at byte {off} is not "
+                                     f"valid UTF-8 ({exc.reason})") from exc
                 off += name_len
                 code, rows, cols = struct.unpack_from("<BII", data, off)
                 off += 9

@@ -55,7 +55,8 @@ def test_compress_then_verify(tmp_path, teacher_store, capsys):
     out = tmp_path / "compressed.kts"
     assert main(["compress", str(teacher_store), TOY_SHAPES,
                  "--arch", TOY_ARCH, "--out", str(out)]) == 0
-    assert "relative residual" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "relative residual" in text and "retained energy" in text
     store = NamedTensorStore.load(out)
     assert "embedding.table" in store and "embedding.row" in store
     assert "layer.0.attn.wq.a" in store and "layer.0.attn.wq.b" in store
@@ -70,6 +71,26 @@ def test_compress_shape_mismatch(tmp_path, teacher_store):
     # the toy teacher fits this plan; break it by using the bert shapes file
     assert main(["compress", str(teacher_store), config_path("kron8_shapes.json"),
                  "--arch", TOY_ARCH, "--out", str(tmp_path / "x.kts")]) == 2
+
+
+def test_compress_non_finite_weight_is_validation_error(tmp_path, capsys):
+    for bad in (float("nan"), float("inf")):
+        store = model_to_store(build_dense_model(ArchSpec.load(TOY_ARCH), make_rng(0)))
+        store["layer.0.ffn.w2.dense"][0, 0] = bad
+        path = tmp_path / "teacher.kts"
+        store.save(path)
+        assert main(["compress", str(path), TOY_SHAPES, "--arch", TOY_ARCH,
+                     "--out", str(tmp_path / "x.kts")]) == 2
+        err = capsys.readouterr().err
+        assert "layer.0.ffn.w2.dense" in err and "non-finite" in err
+
+
+def test_verify_corrupt_name_is_validation_error(tmp_path, teacher_store, capsys):
+    data = bytearray(teacher_store.read_bytes())
+    data[4 + 2 + 2] = 0xFF  # first byte of the first tensor name
+    teacher_store.write_bytes(bytes(data))
+    assert main(["verify", str(teacher_store), "--arch", TOY_ARCH]) == 2
+    assert "tensor name at byte 8 is not valid UTF-8" in capsys.readouterr().err
 
 
 def test_verify_detects_corruption(tmp_path, teacher_store, capsys):

@@ -148,7 +148,7 @@ def test_forward_attention_feature_switch():
 
 def test_forward_dense_vs_exact_kron():
     teacher = toy_exact_kron_teacher()
-    student = exact_kron_model(teacher, PLAN, rng=make_rng(8))
+    student = exact_kron_model(teacher, PLAN)
     ids = make_rng(9).integers(0, TOY.vocab_size, size=(3, 6))
     t, s = forward(teacher, ids), forward(student, ids)
     assert np.abs(t.E.value - s.E.value).max() < 1e-10
@@ -161,7 +161,7 @@ def test_forward_dense_vs_exact_kron():
 def test_exact_kron_model_rejects_generic_weights():
     teacher = build_dense_model(TOY, make_rng(10))
     with pytest.raises(ValueError):
-        exact_kron_model(teacher, PLAN, rng=make_rng(11))
+        exact_kron_model(teacher, PLAN)
 
 
 def test_init_student_reports_residuals():

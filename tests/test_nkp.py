@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from kronekit.kron import FactorShape, KronFactorPair, kron_product
-from kronekit.nkp import (PowerIterationError, dominant_singular_triplet,
-                          nearest_kronecker, rearrange)
+from kronekit.nkp import nearest_kronecker, rearrange
 from kronekit.tensor import ShapeError, make_rng, vec
 
 from oracles import dominant_sigma_oracle
@@ -53,34 +52,11 @@ def test_rearrange_shape_validation():
 def test_dominant_triplet_matches_jacobi_oracle():
     rng = make_rng(3)
     for _ in range(10):
-        r, c = rng.integers(2, 9, size=2)
-        m = rng.standard_normal((r, c))
-        sigma, u, v, _ = dominant_singular_triplet(m, rng=rng)
-        assert abs(sigma - dominant_sigma_oracle(m)) < 1e-8 * max(1.0, sigma)
-        # (sigma, u, v) is a genuine singular triplet
-        assert np.allclose(m @ v, sigma * u, atol=1e-8)
-        assert np.isclose(np.linalg.norm(u), 1.0)
-        assert np.isclose(np.linalg.norm(v), 1.0)
-
-
-def test_dominant_triplet_validation():
-    with pytest.raises(ValueError):
-        dominant_singular_triplet(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        dominant_singular_triplet(np.eye(2), tol=0.0)
-
-
-def test_power_iteration_nonconvergence_strict_and_relaxed():
-    # nearly-degenerate top singular values stall the iteration well before
-    # an impossibly tight tolerance is met
-    m = np.diag([1.0, 1.0 - 1e-13])
-    with pytest.raises(PowerIterationError) as err:
-        dominant_singular_triplet(m, tol=1e-15, max_iter=5, rng=make_rng(4))
-    assert err.value.iterations == 5
-    assert abs(err.value.last_sigma - 1.0) < 1e-6
-    sigma, _, _, iters = dominant_singular_triplet(m, tol=1e-15, max_iter=5,
-                                                   rng=make_rng(4), strict=False)
-    assert iters == 5 and abs(sigma - 1.0) < 1e-6
+        m1, n1, m2, n2 = rng.integers(1, 5, size=4)
+        shape = FactorShape(m1, n1, m2, n2)
+        w = rng.standard_normal((shape.rows, shape.cols))
+        sigma = nearest_kronecker(w, shape).sigma
+        assert abs(sigma - dominant_sigma_oracle(rearrange(w, shape))) < 1e-8 * max(1.0, sigma)
 
 
 def test_nearest_kronecker_exact_recovery():
@@ -89,7 +65,7 @@ def test_nearest_kronecker_exact_recovery():
         m1, n1, m2, n2 = rng.integers(1, 7, size=4)
         pair = KronFactorPair(rng.standard_normal((m1, n1)), rng.standard_normal((m2, n2)))
         w = kron_product(pair)
-        res = nearest_kronecker(w, pair.shape, rng=rng)
+        res = nearest_kronecker(w, pair.shape)
         assert res.residual < 1e-9 * np.linalg.norm(w)
         assert np.allclose(kron_product(res.factors), w, atol=1e-9 * np.linalg.norm(w))
 
@@ -97,14 +73,14 @@ def test_nearest_kronecker_exact_recovery():
 def test_nearest_kronecker_sign_convention():
     rng = make_rng(6)
     pair = KronFactorPair(-rng.random((3, 3)) - 0.5, rng.standard_normal((2, 2)))
-    res = nearest_kronecker(kron_product(pair), pair.shape, rng=rng)
+    res = nearest_kronecker(kron_product(pair), pair.shape)
     a = res.factors.a
     assert a.flat[np.argmax(np.abs(a))] >= 0
 
 
 def test_nearest_kronecker_zero_matrix():
     res = nearest_kronecker(np.zeros((6, 6)), FactorShape(2, 3, 3, 2))
-    assert res.residual == 0.0 and res.sigma == 0.0
+    assert res.residual == 0.0 and res.sigma == 0.0 and res.retained_energy == 0.0
     assert not np.any(res.factors.a) and not np.any(res.factors.b)
 
 
@@ -114,11 +90,76 @@ def test_nearest_kronecker_residual_matches_trailing_spectrum():
     rng = make_rng(7)
     shape = FactorShape(3, 4, 2, 3)
     w = rng.standard_normal((shape.rows, shape.cols))
-    res = nearest_kronecker(w, shape, rng=rng)
+    res = nearest_kronecker(w, shape)
     svals = np.linalg.svd(rearrange(w, shape), compute_uv=False)
     want = float(np.sqrt(np.sum(svals[1:] ** 2)))
     assert abs(res.residual - want) < 1e-8
     assert abs(res.sigma - svals[0]) < 1e-8
+
+
+def _unrearrange(r: np.ndarray, shape: FactorShape) -> np.ndarray:
+    """Inverse of ``rearrange``: the W whose rearrangement is ``r``."""
+    m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
+    return r.reshape(m1, n1, n2, m2).transpose(0, 3, 1, 2).reshape(m1 * m2, n1 * n2)
+
+
+def test_nearest_kronecker_near_degenerate_top_pair():
+    # sigma2 / sigma1 = 0.9995 stalls any power iteration; the direct SVD
+    # still reaches the optimum
+    rng = make_rng(9)
+    shape = FactorShape(8, 6, 5, 7)
+    rows, cols = shape.m1 * shape.n1, shape.m2 * shape.n2
+    k = min(rows, cols)
+    svals = np.concatenate([[1.0, 0.9995], np.linspace(0.5, 0.01, k - 2)])
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    r = (u * svals) @ v.T
+    w = _unrearrange(r, shape)
+    assert np.array_equal(rearrange(w, shape), r)
+    res = nearest_kronecker(w, shape)
+    want = float(np.sqrt(np.sum(svals[1:] ** 2)))
+    assert abs(res.residual - want) < 1e-9 * want
+    assert abs(res.sigma - 1.0) < 1e-12
+    assert abs(res.retained_energy - 1.0 / np.sum(svals ** 2)) < 1e-12
+    assert res.iterations == 0
+
+
+def test_nearest_kronecker_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.ones((4, 4))
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest_kronecker(w, FactorShape(2, 2, 2, 2))
+
+
+def test_nearest_kronecker_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.tuples(*[st.integers(1, 5)] * 4), st.integers(0, 2**32 - 1))
+    def check(dims, seed):
+        rng = make_rng(seed)
+        shape = FactorShape(*dims)
+        # exact products are recovered
+        pair = KronFactorPair(rng.standard_normal((shape.m1, shape.n1)),
+                              rng.standard_normal((shape.m2, shape.n2)))
+        w = kron_product(pair)
+        norm = np.linalg.norm(w)
+        res = nearest_kronecker(w, shape)
+        assert res.residual < 1e-9 * norm
+        assert np.allclose(kron_product(res.factors), w, atol=1e-9 * norm)
+        assert abs(res.retained_energy - 1.0) < 1e-9
+        # the residual of a generic W is its trailing spectrum
+        w = rng.standard_normal((shape.rows, shape.cols))
+        norm = np.linalg.norm(w)
+        res = nearest_kronecker(w, shape)
+        svals = np.linalg.svd(rearrange(w, shape), compute_uv=False)
+        assert abs(res.residual - np.sqrt(np.sum(svals[1:] ** 2))) < 1e-9 * norm
+        assert abs(res.sigma - svals[0]) < 1e-9 * norm
+        assert abs(res.retained_energy - svals[0] ** 2 / norm ** 2) < 1e-9
+
+    check()
 
 
 def test_nearest_kronecker_local_optimality_probe():
@@ -126,7 +167,7 @@ def test_nearest_kronecker_local_optimality_probe():
     rng = make_rng(8)
     shape = FactorShape(3, 3, 3, 3)
     w = rng.standard_normal((shape.rows, shape.cols))
-    res = nearest_kronecker(w, shape, rng=rng)
+    res = nearest_kronecker(w, shape)
     for _ in range(20):
         da = 1e-4 * rng.standard_normal(res.factors.a.shape)
         db = 1e-4 * rng.standard_normal(res.factors.b.shape)
