@@ -4,7 +4,9 @@ Covers exactly the operations the toy Transformer and the distillation
 losses need: broadcast add/mul, batched matmul, reshape/transpose/slice,
 gather, concat/stack, erf-GELU, row softmax, layernorm, reductions, and
 cross-entropy. Backward passes run in a fixed topological order, so replays
-with identical inputs are bitwise deterministic.
+with identical inputs are bitwise deterministic. An op on tensors none of
+which requires grad records no graph, so ``TransformerModel.freeze()`` is how
+to run inference: each intermediate is freed as soon as nothing refers to it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        # a node nothing differentiates through keeps no graph, so the inputs
+        # and the arrays its backward closure captured are freed with it
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -69,79 +73,63 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.value + other.value, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.value.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.value.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.value + other.value, parents=(self, other), backward=backward)
 
     def __sub__(self, other):
         return self + (_as_tensor(other) * -1.0)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = Tensor(self.value * other.value, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g * other.value, self.value.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.value, other.value.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.value * other.value, parents=(self, other), backward=backward)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = _as_tensor(other)
         a, b = self.value, other.value
-        out = Tensor(a @ b, parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
-        out._backward = backward
-        return out
+        return Tensor(a @ b, parents=(self, other), backward=backward)
 
     # --------------------------------------------------------- shape moves
 
     def reshape(self, *shape):
-        out = Tensor(self.value.reshape(*shape), parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.value.shape))
-        out._backward = backward
-        return out
+        return Tensor(self.value.reshape(*shape), parents=(self,), backward=backward)
 
     def transpose_last(self):
-        out = Tensor(np.swapaxes(self.value, -1, -2), parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(np.swapaxes(g, -1, -2))
-        out._backward = backward
-        return out
+        return Tensor(np.swapaxes(self.value, -1, -2), parents=(self,), backward=backward)
 
     def slice_last(self, start: int, stop: int):
-        out = Tensor(self.value[..., start:stop], parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 full = np.zeros_like(self.value)
                 full[..., start:stop] = g
                 self._accumulate(full)
-        out._backward = backward
-        return out
+        return Tensor(self.value[..., start:stop], parents=(self,), backward=backward)
 
     def mean(self, axis=None):
-        out = Tensor(self.value.mean(axis=axis), parents=(self,))
         denom = self.value.size if axis is None else self.value.shape[axis]
 
         def backward(g):
@@ -151,17 +139,13 @@ class Tensor:
                 else:
                     self._accumulate(np.expand_dims(g, axis) / denom
                                      * np.ones_like(self.value))
-        out._backward = backward
-        return out
+        return Tensor(self.value.mean(axis=axis), parents=(self,), backward=backward)
 
     def sum(self):
-        out = Tensor(self.value.sum(), parents=(self,))
-
         def backward(g):
             if self.requires_grad:
                 self._accumulate(np.full_like(self.value, g))
-        out._backward = backward
-        return out
+        return Tensor(self.value.sum(), parents=(self,), backward=backward)
 
     def detach(self) -> "Tensor":
         return Tensor(self.value)
@@ -171,7 +155,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(value, rng=None) -> Tensor:
+def parameter(value) -> Tensor:
     # force C order so views of .value (reshape, ravel) behave predictably
     return Tensor(np.array(value, dtype=np.float64, order="C"), requires_grad=True)
 
@@ -179,19 +163,16 @@ def parameter(value, rng=None) -> Tensor:
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """table[ids] for an integer index array; grads scatter-add back."""
     ids = np.asarray(ids)
-    out = Tensor(table.value[ids], parents=(table,))
 
     def backward(g):
         if table.requires_grad:
             full = np.zeros_like(table.value)
             np.add.at(full, ids, g)
             table._accumulate(full)
-    out._backward = backward
-    return out
+    return Tensor(table.value[ids], parents=(table,), backward=backward)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.value for p in parts], axis=-1), parents=tuple(parts))
     sizes = [p.value.shape[-1] for p in parts]
 
     def backward(g):
@@ -200,34 +181,31 @@ def concat_last(parts: list[Tensor]) -> Tensor:
             if p.requires_grad:
                 p._accumulate(g[..., off:off + size])
             off += size
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.value for p in parts], axis=-1), parents=tuple(parts),
+                  backward=backward)
 
 
 def stack(parts: list[Tensor], axis: int) -> Tensor:
-    out = Tensor(np.stack([p.value for p in parts], axis=axis), parents=tuple(parts))
 
     def backward(g):
         slices = np.moveaxis(g, axis, 0)
         for p, s in zip(parts, slices):
             if p.requires_grad:
                 p._accumulate(s)
-    out._backward = backward
-    return out
+    return Tensor(np.stack([p.value for p in parts], axis=axis), parents=tuple(parts),
+                  backward=backward)
 
 
 def gelu(x: Tensor) -> Tensor:
     """erf-based GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     v = x.value
     cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
-    out = Tensor(v * cdf, parents=(x,))
 
     def backward(g):
         if x.requires_grad:
             pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
             x._accumulate(g * (cdf + v * pdf))
-    out._backward = backward
-    return out
+    return Tensor(v * cdf, parents=(x,), backward=backward)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -235,27 +213,23 @@ def softmax_last(x: Tensor) -> Tensor:
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s, parents=(x,))
 
     def backward(g):
         if x.requires_grad:
             dot = (g * s).sum(axis=-1, keepdims=True)
             x._accumulate(s * (g - dot))
-    out._backward = backward
-    return out
+    return Tensor(s, parents=(x,), backward=backward)
 
 
 def log_softmax_last(x: Tensor) -> Tensor:
     v = x.value
     shifted = v - v.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(logp, parents=(x,))
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
-    out._backward = backward
-    return out
+    return Tensor(logp, parents=(x,), backward=backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -266,8 +240,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(xhat * gamma.value + beta.value, parents=(x, gamma, beta))
-    n = v.shape[-1]
 
     def backward(g):
         if gamma.requires_grad:
@@ -280,8 +252,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             term2 = gx.mean(axis=-1, keepdims=True)
             term3 = xhat * (gx * xhat).mean(axis=-1, keepdims=True)
             x._accumulate(inv * (term1 - term2 - term3))
-    out._backward = backward
-    return out
+    return Tensor(xhat * gamma.value + beta.value, parents=(x, gamma, beta), backward=backward)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -298,7 +269,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logsumexp
     picked = logp[np.arange(len(labels)), labels]
-    out = Tensor(-picked.mean(), parents=(logits,))
 
     def backward(g):
         if logits.requires_grad:
@@ -306,5 +276,4 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
             onehot = np.zeros_like(p)
             onehot[np.arange(len(labels)), labels] = 1.0
             logits._accumulate(g * (p - onehot) / len(labels))
-    out._backward = backward
-    return out
+    return Tensor(-picked.mean(), parents=(logits,), backward=backward)

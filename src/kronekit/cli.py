@@ -16,8 +16,8 @@ import numpy as np
 
 from . import distill as kd
 from .kron import FactorShape, KronFactorPair, kron_flops, kron_matmul, kron_matvec, kron_product
-from .model import (DenseEmbedding, build_dense_model, forward,
-                    init_student_from_teacher, model_from_store, model_to_store)
+from .model import (DenseEmbedding, build_dense_model, init_student_from_teacher,
+                    model_from_store, model_to_store)
 from .nkp import nearest_kronecker
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, count_flops,
                       count_params, flops_breakdown, make_plan, plan_for_ratio)
@@ -161,6 +161,10 @@ def cmd_verify(args) -> int:
     if len(store) == 0:
         print("verify: empty checkpoint, vacuously passing (warning)")
         return EXIT_OK
+    if args.arch:
+        # a tensor that is missing or does not fit the architecture raises
+        # KeyError or ShapeError naming it; main() reports either as exit 2
+        model_from_store(store, ArchSpec.load(args.arch))
     rng = make_rng(_seed_from(args))
     failures = []
     for name, m in store.items():
@@ -180,30 +184,12 @@ def cmd_verify(args) -> int:
         scale = max(float(np.linalg.norm(want)), 1e-300)
         if np.linalg.norm(got - want) / scale > args.tol:
             failures.append(f"{base}: factorized matvec disagrees with reconstruction")
-    if "embedding.table" in names or "embedding.dense" in names:
-        arch = ArchSpec.load(args.arch) if args.arch else None
-        if arch is not None:
-            try:
-                model = model_from_store(store, arch)
-                probe = rng.integers(0, arch.vocab_size, size=(2, min(8, arch.max_seq_len)))
-                trace = forward(model, probe)
-                for i, o in enumerate(trace.attn_scores):
-                    rows = _softmax_rows(o.value)
-                    if np.abs(rows - 1.0).max() > 1e-9:
-                        failures.append(f"layer {i}: softmax rows do not sum to 1")
-            except KeyError as exc:
-                failures.append(f"forward probe: {exc}")
     if failures:
         for f in failures:
             print(f"FAIL {f}")
         return EXIT_NUMERICAL
     print(f"verify: {len(store)} tensors OK")
     return EXIT_OK
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return (e / e.sum(axis=-1, keepdims=True)).sum(axis=-1)
 
 
 def cmd_bench(args) -> int:
@@ -269,6 +255,10 @@ def cmd_distill(args) -> int:
     t0 = time.perf_counter()
     try:
         student, _ = init_student_from_teacher(teacher, plan)
+    except RuntimeError as exc:  # a teacher weight NKP cannot factor, e.g. non-finite
+        print(f"distill: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
         history = kd.train(student, teacher, data,
                            kd.TrainConfig(stage=args.stage, steps=args.steps,
                                           lr=args.lr, seed=seed, clip=1.0))

@@ -391,35 +391,59 @@ def model_to_store(model: TransformerModel) -> NamedTensorStore:
 
 
 def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerModel:
-    def get(name, vector=False):
+    """Model from a checkpoint, with every tensor it reads checked against
+    ``arch``: a missing tensor raises ``KeyError`` and a tensor (or factor
+    pair) of the wrong shape raises ``ShapeError``, each naming it."""
+    d, f = arch.hidden, arch.ffn_dim
+
+    def tensor(name):
         if name not in store:
             raise KeyError(f"checkpoint is missing tensor {name!r}")
-        v = store[name]
-        return ad.parameter(v.reshape(-1) if vector else v)
+        return store[name]
 
-    def weight_at(prefix):
+    def get(name, rows, cols=None):
+        # cols=None: a vector of length rows, stored as a 1 x rows matrix
+        v = tensor(name)
+        want = (rows, cols) if cols is not None else (1, rows)
+        if v.shape != want:
+            raise ShapeError(f"{name} is {v.shape[0]}x{v.shape[1]}, "
+                             f"expected {want[0]}x{want[1]}")
+        return ad.parameter(v if cols is not None else v.reshape(-1))
+
+    def factors(name_a, name_b, rows, cols):
+        a, b = tensor(name_a), tensor(name_b)
+        got = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        if got != (rows, cols):
+            raise ShapeError(f"kron({name_a}, {name_b}) is {got[0]}x{got[1]}, "
+                             f"expected {rows}x{cols}")
+        return ad.parameter(a), ad.parameter(b)
+
+    def weight_at(prefix, rows, cols):
         if f"{prefix}.dense" in store:
-            return DenseWeight(get(f"{prefix}.dense"))
-        return KronWeight(get(f"{prefix}.a"), get(f"{prefix}.b"))
+            return DenseWeight(get(f"{prefix}.dense", rows, cols))
+        return KronWeight(*factors(f"{prefix}.a", f"{prefix}.b", rows, cols))
 
     if "embedding.dense" in store:
-        embedding = DenseEmbedding(get("embedding.dense"))
+        embedding = DenseEmbedding(get("embedding.dense", arch.vocab_size, d))
     else:
-        embedding = KronEmbedding(get("embedding.table"), get("embedding.row"))
+        # rows multiply out to vocab_size only if the shared row is 1 x n
+        embedding = KronEmbedding(*factors("embedding.table", "embedding.row",
+                                           arch.vocab_size, d))
     layers = []
     for i in range(arch.layers):
         p = f"layer.{i}"
         attn = AttentionWeights(
-            wq=weight_at(f"{p}.attn.wq"), wk=weight_at(f"{p}.attn.wk"),
-            wv=weight_at(f"{p}.attn.wv"), wo=weight_at(f"{p}.attn.wo"),
-            bq=get(f"{p}.attn.bq", True), bk=get(f"{p}.attn.bk", True),
-            bv=get(f"{p}.attn.bv", True), bo=get(f"{p}.attn.bo", True))
-        ffn = FfnWeights(w1=weight_at(f"{p}.ffn.w1"), w2=weight_at(f"{p}.ffn.w2"),
-                         b1=get(f"{p}.ffn.b1", True), b2=get(f"{p}.ffn.b2", True))
-        layers.append(LayerWeights(attn, get(f"{p}.attn.ln.gamma", True),
-                                   get(f"{p}.attn.ln.beta", True), ffn,
-                                   get(f"{p}.ffn.ln.gamma", True),
-                                   get(f"{p}.ffn.ln.beta", True)))
-    return TransformerModel(arch, embedding, get("embedding.position"),
-                            get("embedding.ln.gamma", True), get("embedding.ln.beta", True),
-                            layers, get("head.weight"), get("head.bias", True))
+            wq=weight_at(f"{p}.attn.wq", d, d), wk=weight_at(f"{p}.attn.wk", d, d),
+            wv=weight_at(f"{p}.attn.wv", d, d), wo=weight_at(f"{p}.attn.wo", d, d),
+            bq=get(f"{p}.attn.bq", d), bk=get(f"{p}.attn.bk", d),
+            bv=get(f"{p}.attn.bv", d), bo=get(f"{p}.attn.bo", d))
+        ffn = FfnWeights(w1=weight_at(f"{p}.ffn.w1", f, d), w2=weight_at(f"{p}.ffn.w2", d, f),
+                         b1=get(f"{p}.ffn.b1", f), b2=get(f"{p}.ffn.b2", d))
+        layers.append(LayerWeights(attn, get(f"{p}.attn.ln.gamma", d),
+                                   get(f"{p}.attn.ln.beta", d), ffn,
+                                   get(f"{p}.ffn.ln.gamma", d),
+                                   get(f"{p}.ffn.ln.beta", d)))
+    return TransformerModel(arch, embedding, get("embedding.position", arch.max_seq_len, d),
+                            get("embedding.ln.gamma", d), get("embedding.ln.beta", d),
+                            layers, get("head.weight", arch.num_classes, d),
+                            get("head.bias", arch.num_classes))

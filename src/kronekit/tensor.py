@@ -144,6 +144,8 @@ class NamedTensorStore:
                 except UnicodeDecodeError as exc:
                     raise StoreError(f"{path}: tensor name at byte {off} is not "
                                      f"valid UTF-8 ({exc.reason})") from exc
+                if name in store:
+                    raise StoreError(f"{path}: duplicate tensor name {name!r} at byte {off}")
                 off += name_len
                 code, rows, cols = struct.unpack_from("<BII", data, off)
                 off += 9

@@ -136,3 +136,40 @@ def test_detach_blocks_gradients():
     y = (x.detach() * x).mean()  # treated as constant * x
     y.backward()
     assert np.isclose(x.grad[0, 0], 2.0)
+
+
+# op name -> (op over its tensor inputs, shapes of those inputs)
+GRAPH_OPS = {
+    "add": (lambda x, y: x + y, [(2, 3), (1, 3)]),
+    "mul": (lambda x, y: x * y, [(2, 3), (2, 3)]),
+    "matmul": (lambda x, y: x @ y, [(2, 3), (3, 4)]),
+    "reshape": (lambda x: x.reshape(3, 2), [(2, 3)]),
+    "transpose_last": (lambda x: x.transpose_last(), [(2, 3)]),
+    "slice_last": (lambda x: x.slice_last(1, 3), [(2, 3)]),
+    "mean": (lambda x: x.mean(axis=1), [(2, 3)]),
+    "sum": (lambda x: x.sum(), [(2, 3)]),
+    "gather_rows": (lambda t: ad.gather_rows(t, np.array([0, 2, 2])), [(4, 3)]),
+    "concat_last": (lambda x, y: ad.concat_last([x, y]), [(2, 3), (2, 1)]),
+    "stack": (lambda x, y: ad.stack([x, y], axis=0), [(2, 3), (2, 3)]),
+    "gelu": (ad.gelu, [(2, 3)]),
+    "softmax_last": (ad.softmax_last, [(2, 3)]),
+    "log_softmax_last": (ad.log_softmax_last, [(2, 3)]),
+    "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
+    "cross_entropy": (lambda x: ad.cross_entropy(x, np.array([0, 2])), [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_OPS))
+def test_graph_kept_only_when_an_input_requires_grad(name):
+    op, shapes = GRAPH_OPS[name]
+    rng = make_rng(8)
+    values = [rng.standard_normal(s) for s in shapes]
+    frozen = op(*(ad.Tensor(v) for v in values))
+    assert not frozen.requires_grad
+    assert frozen._parents == () and frozen._backward is None
+    for i in range(len(values)):
+        inputs = [ad.parameter(v) if j == i else ad.Tensor(v) for j, v in enumerate(values)]
+        out = op(*inputs)
+        assert out.requires_grad and out._backward is not None
+        assert any(p is inputs[i] for p in out._parents)
+        assert np.array_equal(out.value, frozen.value)

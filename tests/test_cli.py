@@ -93,6 +93,37 @@ def test_verify_corrupt_name_is_validation_error(tmp_path, teacher_store, capsys
     assert "tensor name at byte 8 is not valid UTF-8" in capsys.readouterr().err
 
 
+def test_verify_duplicate_name_is_validation_error(tmp_path, capsys):
+    store = NamedTensorStore()
+    store.add("aa", np.zeros((1, 2)))
+    store.add("ab", np.ones((1, 2)))
+    path = tmp_path / "dup.kts"
+    store.save(path)
+    data = path.read_bytes()
+    second = data.index(b"ab")
+    path.write_bytes(data[:second] + b"aa" + data[second + 2:])
+    assert main(["verify", str(path)]) == 2
+    assert f"duplicate tensor name 'aa' at byte {second}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, edit, message", [
+    ("layer.0.attn.bq", lambda m: m[:, :-1], "layer.0.attn.bq is 1x31, expected 1x32"),
+    ("head.weight", None, "checkpoint is missing tensor 'head.weight'")])
+def test_verify_checkpoint_not_fitting_arch_is_validation_error(tmp_path, capsys,
+                                                                target, edit, message):
+    store = model_to_store(build_dense_model(ArchSpec.load(TOY_ARCH), make_rng(0)))
+    broken = NamedTensorStore()
+    for name, m in store.items():
+        if name != target:
+            broken.add(name, m)
+        elif edit is not None:
+            broken.add(name, edit(m))
+    path = tmp_path / "broken.kts"
+    broken.save(path)
+    assert main(["verify", str(path), "--arch", TOY_ARCH]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_detects_corruption(tmp_path, teacher_store, capsys):
     out = tmp_path / "compressed.kts"
     main(["compress", str(teacher_store), TOY_SHAPES, "--arch", TOY_ARCH,
@@ -153,6 +184,18 @@ def test_distill_writes_student_and_history(tmp_path, teacher_store, capsys):
     rows = [json.loads(line) for line in hist.read_text().splitlines()]
     assert [r["step"] for r in rows] == [0, 1, 2]
     assert all(np.isfinite(r["total"]) for r in rows)
+
+
+def test_distill_non_finite_teacher_is_validation_error(tmp_path, capsys):
+    store = model_to_store(build_dense_model(ArchSpec.load(TOY_ARCH), make_rng(0)))
+    store["layer.0.ffn.w2.dense"][0, 0] = float("inf")
+    path = tmp_path / "teacher.kts"
+    store.save(path)
+    assert main(["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--teacher", str(path),
+                 "--steps", "1", "--out", str(tmp_path / "student.kts")]) == 2
+    err = capsys.readouterr().err
+    assert "layer.0.ffn.w2" in err and "non-finite" in err
+    assert not (tmp_path / "student.kts").exists()
 
 
 def test_report_table(capsys):

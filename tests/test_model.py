@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronekit import autodiff as ad
+from kronekit import distill as kd
 from kronekit.kron import FlopCounter, KronFactorPair, kron_product
 from kronekit.model import (AttentionWeights, DenseEmbedding, DenseWeight,
                             KronEmbedding, KronWeight, attention_forward,
@@ -206,3 +207,54 @@ def test_model_from_store_missing_tensor(tmp_path):
             broken.add(name, m)
     with pytest.raises(KeyError):
         model_from_store(broken, TOY)
+
+
+def test_model_from_store_checks_shapes():
+    teacher = build_dense_model(TOY, make_rng(18))
+    student, _ = init_student_from_teacher(teacher, PLAN)
+    dense, kron = model_to_store(teacher), model_to_store(student)
+    for store, name, bad in ((dense, "layer.1.ffn.w1.dense", np.zeros((64, 31))),
+                             (dense, "embedding.position", np.zeros((16, 33))),
+                             (dense, "head.bias", np.zeros((1, 3))),
+                             (kron, "layer.0.attn.wo.b", np.zeros((2, 3))),
+                             (kron, "embedding.row", np.zeros((2, 4)))):
+        broken = NamedTensorStore()
+        for n, m in store.items():
+            broken.add(n, bad if n == name else m)
+        with pytest.raises(ShapeError, match=name):
+            model_from_store(broken, TOY)
+
+
+# ------------------------------------------------------------ frozen forward
+
+def _trace_tensors(trace):
+    return [trace.E, *trace.attn_scores, *trace.attn_out, *trace.ffn_out, trace.logits]
+
+
+def test_frozen_forward_keeps_no_graph():
+    model = build_dense_model(TOY, make_rng(19))
+    ids = make_rng(20).integers(0, TOY.vocab_size, size=(2, 4))
+    live = forward(model, ids)
+    assert all(t._parents for t in _trace_tensors(live))
+    frozen = forward(model.freeze(), ids)
+    for a, b in zip(_trace_tensors(live), _trace_tensors(frozen)):
+        assert b._parents == () and b._backward is None and not b.requires_grad
+        assert np.array_equal(a.value, b.value)
+
+
+def test_frozen_teacher_leaves_student_grads_unchanged():
+    ids = make_rng(21).integers(0, TOY.vocab_size, size=(2, 4))
+    labels = np.array([0, 1])
+    grads = []
+    for freeze in (False, True):
+        teacher = build_dense_model(TOY, make_rng(22))
+        student, _ = init_student_from_teacher(teacher, PLAN)
+        if freeze:
+            teacher.freeze()
+        proj = kd.make_projection(TOY.hidden)
+        kd.kd_losses(forward(student, ids), forward(teacher, ids),
+                     proj=proj, labels=labels).total.backward()
+        grads.append({n: t.grad for n, t in student.parameters().items()} | {"proj": proj.grad})
+    assert grads[0].keys() == grads[1].keys()
+    for name, g in grads[0].items():
+        assert g is not None and np.array_equal(g, grads[1][name]), name
