@@ -1,18 +1,21 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Covers exactly the operations the toy Transformer and the distillation
-losses need: broadcast add/mul, batched matmul, reshape/transpose/slice,
-gather, concat/stack, erf-GELU, row softmax, layernorm, reductions, and
-cross-entropy. Backward passes run in a fixed topological order, so replays
-with identical inputs are bitwise deterministic. An op on tensors none of
-which requires grad records no graph, so ``TransformerModel.freeze()`` is how
-to run inference: each intermediate is freed as soon as nothing refers to it.
+losses need: broadcast add/mul, batched matmul, the Kronecker-factored
+linear map ``kron_apply``, reshape/transpose/slice, gather, concat/stack,
+erf-GELU, row softmax, layernorm, reductions, and cross-entropy. Backward
+passes run in a fixed topological order, so replays with identical inputs are
+bitwise deterministic. An op on tensors none of which requires grad records
+no graph, so ``TransformerModel.freeze()`` is how to run inference: each
+intermediate is freed as soon as nothing refers to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import erf
+
+from . import kron
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -170,6 +173,27 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(full, ids, g)
             table._accumulate(full)
     return Tensor(table.value[ids], parents=(table,), backward=backward)
+
+
+def kron_apply(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """``x @ (A (x) B)^T`` over the last axis as one node (``kron.kron_apply``)."""
+    xv, av, bv = x.value, a.value, b.value
+    (m1, n1), (m2, n2) = av.shape, bv.shape
+
+    def backward(g):
+        if x.requires_grad:  # g @ (A (x) B) = g @ (A^T (x) B^T)^T
+            x._accumulate(kron.kron_apply(av.T, bv.T, g))
+        if a.requires_grad or b.requires_grad:
+            # dA = sum_t G_t B X_t^T and dB = sum_t G_t^T A X_t, with G_t in
+            # m1 x m2 and X_t in n1 x n2 laid out so that t joins a GEMM axis
+            t = g.size // (m1 * m2)
+            gi = g.reshape(t, m1, m2).swapaxes(0, 1).reshape(m1 * t, m2)
+            xk = xv.reshape(t, n1, n2).swapaxes(0, 1).reshape(n1, t * n2)
+            if a.requires_grad:
+                a._accumulate((gi @ bv).reshape(m1, t * n2) @ xk.T)
+            if b.requires_grad:
+                b._accumulate(gi.T @ (av @ xk).reshape(m1 * t, n2))
+    return Tensor(kron.kron_apply(av, bv, xv), parents=(x, a, b), backward=backward)
 
 
 def concat_last(parts: list[Tensor]) -> Tensor:

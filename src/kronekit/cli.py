@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import distill as kd
-from .kron import FactorShape, KronFactorPair, kron_flops, kron_matmul, kron_matvec, kron_product
+from .kron import FactorShape, KronFactorPair, kron_apply, kron_flops, kron_matvec, kron_product
 from .model import (DenseEmbedding, build_dense_model, init_student_from_teacher,
                     model_from_store, model_to_store)
 from .nkp import nearest_kronecker
@@ -164,7 +164,12 @@ def cmd_verify(args) -> int:
     if args.arch:
         # a tensor that is missing or does not fit the architecture raises
         # KeyError or ShapeError naming it; main() reports either as exit 2
-        model_from_store(store, ArchSpec.load(args.arch))
+        used = model_from_store(store, ArchSpec.load(args.arch)).parameters()
+        unused = [name for name in store.names() if name not in used]
+        if unused:
+            print(f"verify: checkpoint tensor {unused[0]!r} is not used by the "
+                  f"architecture ({len(unused)} unused)", file=sys.stderr)
+            return EXIT_VALIDATION
     rng = make_rng(_seed_from(args))
     failures = []
     for name, m in store.items():
@@ -206,10 +211,10 @@ def cmd_bench(args) -> int:
         w = rng.standard_normal((rows, cols)).astype(dtype)
         pair = KronFactorPair(rng.standard_normal((shape.m1, shape.n1)).astype(dtype),
                               rng.standard_normal((shape.m2, shape.n2)).astype(dtype))
-        x = rng.standard_normal((cols, s)).astype(dtype)
+        x = rng.standard_normal((s, cols)).astype(dtype)  # one token per row, as in the model
         for path, fn, flops in (
-                ("dense", lambda: w @ x, (2 * cols - 1) * rows),
-                ("kron", lambda: kron_matmul(pair, x), kron_flops(shape))):
+                ("dense", lambda: x @ w.T, (2 * cols - 1) * rows),
+                ("kron", lambda: kron_apply(pair.a, pair.b, x), kron_flops(shape))):
             times = []
             fn()  # warm up
             for _ in range(args.iters):

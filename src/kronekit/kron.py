@@ -1,13 +1,16 @@
 """Kronecker algebra: explicit product, the reconstruction-free matvec
 (A (x) B) x = V(B R(x) A^T), batched application, and FLOP cost models.
 
-The matvec evaluates the two inner products in whichever association order is
-cheaper; ties prefer applying B first. A^T is taken as an index view, the
-transpose is never materialized.
+Both inner products are evaluated in whichever association order is cheaper;
+ties prefer applying B first. :func:`kron_apply` is the one batched kernel:
+the model, ``kron_matmul`` and ``kronekit bench`` all run it. It applies the
+two factors to all input rows at once as two flat 2-D GEMMs; the two axis
+swaps around them are the only copies it makes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +92,18 @@ def kron_product(p: KronFactorPair) -> np.ndarray:
     return np.kron(p.a, p.b)
 
 
-def kron_flops(shape: FactorShape) -> int:
-    """FLOPs of the factorized matvec for one input vector (min over orders)."""
+def _order_cost(shape: FactorShape) -> tuple[int, str]:
+    """FLOPs per input vector and association order of the cheaper order;
+    ties prefer applying B first."""
     m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
     b_first = (2 * n2 - 1) * m2 * n1 + (2 * n1 - 1) * m2 * m1
     a_first = (2 * n1 - 1) * n2 * m1 + (2 * n2 - 1) * m2 * m1
-    return min(b_first, a_first)
+    return (b_first, "b_first") if b_first <= a_first else (a_first, "a_first")
+
+
+def kron_flops(shape: FactorShape) -> int:
+    """FLOPs of the factorized matvec for one input vector (min over orders)."""
+    return _order_cost(shape)[0]
 
 
 def dense_matvec_flops(m: int, n: int) -> int:
@@ -106,10 +115,7 @@ def dense_matvec_flops(m: int, n: int) -> int:
 
 def choose_order(shape: FactorShape) -> str:
     """Cheaper association order; ties prefer applying B first."""
-    m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
-    b_first = (2 * n2 - 1) * m2 * n1 + (2 * n1 - 1) * m2 * m1
-    a_first = (2 * n1 - 1) * n2 * m1 + (2 * n2 - 1) * m2 * m1
-    return "b_first" if b_first <= a_first else "a_first"
+    return _order_cost(shape)[1]
 
 
 def _counted_matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter) -> np.ndarray:
@@ -157,19 +163,33 @@ def kron_matvec(p: KronFactorPair, x: np.ndarray, counter: FlopCounter | None = 
     return out
 
 
+def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x @ (A (x) B)^T`` over the last axis of ``x``, any leading shape.
+
+    Row t of ``x``, read row-major as X_t in n1 x n2, maps to A X_t B^T read
+    row-major. All T rows go through two flat 2-D GEMMs, with one axis swap
+    between them and one after (B first) or before (A first).
+    """
+    (m1, n1), (m2, n2) = a.shape, b.shape
+    x = np.asarray(x)
+    if x.shape[-1] != n1 * n2:
+        raise ShapeError(f"kron_apply: input width {x.shape[-1]}, expected {n1 * n2}")
+    lead = x.shape[:-1]
+    t = math.prod(lead)
+    if choose_order(FactorShape(m1, n1, m2, n2)) == "b_first":
+        z = x.reshape(t * n1, n2) @ b.T                              # rows of X_t B^T
+        z = z.reshape(t, n1, m2).swapaxes(1, 2).reshape(t * m2, n1)   # rows of B X_t^T
+        y = (z @ a.T).reshape(t, m2, m1).swapaxes(1, 2)              # A X_t B^T
+    else:
+        z = x.reshape(t, n1, n2).swapaxes(1, 2).reshape(t * n2, n1) @ a.T  # rows of (A X_t)^T
+        z = z.reshape(t, n2, m1).swapaxes(1, 2).reshape(t * m1, n2)   # rows of A X_t
+        y = z @ b.T                                                  # rows of A X_t B^T
+    return y.reshape(*lead, m1 * m2)
+
+
 def kron_matmul(p: KronFactorPair, x: np.ndarray) -> np.ndarray:
     """Column-wise extension of :func:`kron_matvec` to a matrix of inputs."""
     xm = np.asarray(x)
     if xm.ndim != 2:
         raise ShapeError(f"kron_matmul: expected a matrix, got ndim={xm.ndim}")
-    shape = p.shape
-    if xm.shape[0] != shape.cols:
-        raise ShapeError(f"kron_matmul: input has {xm.shape[0]} rows, expected {shape.cols}")
-    k = xm.shape[1]
-    # column c reshaped row-major to n1 x n2; V(B R A^T) == (A (Rc^T) B^T) flattened
-    xr = xm.T.reshape(k, shape.n1, shape.n2)
-    if choose_order(shape) == "b_first":
-        y3 = np.matmul(p.a, np.matmul(xr, p.b.T))
-    else:
-        y3 = np.matmul(np.matmul(p.a, xr), p.b.T)
-    return y3.reshape(k, shape.rows).T
+    return kron_apply(p.a, p.b, xm.T).T

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kron import FactorShape, FlopCounter, choose_order
+from .kron import FactorShape, FlopCounter
 from .nkp import nearest_kronecker
 from .planner import ArchSpec, CompressionPlan
 from .tensor import NamedTensorStore, ShapeError
@@ -54,16 +54,7 @@ class KronWeight:
 
     def apply(self, x: Tensor) -> Tensor:
         """Reconstruction-free application to row vectors in the last axis."""
-        s = self.shape
-        lead = x.shape[:-1]
-        if x.shape[-1] != s.cols:
-            raise ShapeError(f"kron apply: input width {x.shape[-1]}, expected {s.cols}")
-        xr = x.reshape(*lead, s.n1, s.n2)
-        if choose_order(s) == "b_first":
-            y = self.a @ (xr @ self.b.transpose_last())
-        else:
-            y = (self.a @ xr) @ self.b.transpose_last()
-        return y.reshape(*lead, s.rows)
+        return ad.kron_apply(x, self.a, self.b)
 
     def named(self, prefix: str):
         yield f"{prefix}.a", self.a
@@ -181,12 +172,12 @@ def embed(embedding: DenseEmbedding | KronEmbedding, token_ids: np.ndarray) -> T
     """Token embedding rows; factorized lookups expand tile-by-tile, the
     v x d table is never materialized."""
     ids = np.asarray(token_ids)
+    vocab = embedding.table.shape[0]
+    lo, hi = (ids.min(), ids.max()) if ids.size else (0, 0)
+    if lo < 0 or hi >= vocab:
+        raise IndexError(f"token id {lo if lo < 0 else hi} out of range [0, {vocab})")
     if isinstance(embedding, DenseEmbedding):
-        if ids.size and ids.max() >= embedding.table.shape[0]:
-            raise IndexError(f"token id {ids.max()} out of range")
         return ad.gather_rows(embedding.table, ids)
-    if ids.size and ids.max() >= embedding.table.shape[0]:
-        raise IndexError(f"token id {ids.max()} out of range")
     rows = ad.gather_rows(embedding.table, ids)          # (..., d/n)
     k = embedding.table.shape[1]
     n = embedding.row.shape[1]

@@ -96,6 +96,22 @@ def test_layer_norm_grads():
     fd_check(build, [x, gamma, beta], rng)
 
 
+@pytest.mark.parametrize("dims", [(3, 2, 2, 4), (2, 4, 3, 2)])  # b_first, a_first
+def test_kron_apply_grads(dims):
+    m1, n1, m2, n2 = dims
+    rng = make_rng(9)
+    x = ad.parameter(rng.standard_normal((2, 3, n1 * n2)))
+    a = ad.parameter(rng.standard_normal((m1, n1)))
+    b = ad.parameter(rng.standard_normal((m2, n2)))
+    c = ad.Tensor(rng.standard_normal((2, 3, m1 * m2)))
+
+    def build():
+        y = ad.kron_apply(x, a, b)
+        return (y * y * 0.5 + y * c).mean()
+
+    fd_check(build, [x, a, b], rng, samples=24)
+
+
 def test_loss_grads():
     rng = make_rng(6)
     logits = ad.parameter(rng.standard_normal((4, 3)))
@@ -150,6 +166,7 @@ GRAPH_OPS = {
     "sum": (lambda x: x.sum(), [(2, 3)]),
     "gather_rows": (lambda t: ad.gather_rows(t, np.array([0, 2, 2])), [(4, 3)]),
     "concat_last": (lambda x, y: ad.concat_last([x, y]), [(2, 3), (2, 1)]),
+    "kron_apply": (ad.kron_apply, [(2, 6), (2, 3), (4, 2)]),
     "stack": (lambda x, y: ad.stack([x, y], axis=0), [(2, 3), (2, 3)]),
     "gelu": (ad.gelu, [(2, 3)]),
     "softmax_last": (ad.softmax_last, [(2, 3)]),

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_verify_checkpoint_not_fitting_arch_is_validation_error(tmp_path, capsys
     broken.save(path)
     assert main(["verify", str(path), "--arch", TOY_ARCH]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_reports_tensors_the_arch_does_not_use(tmp_path, capsys):
+    arch = ArchSpec.load(TOY_ARCH)
+    path = tmp_path / "three_layers.kts"
+    model_to_store(build_dense_model(replace(arch, layers=3), make_rng(0))).save(path)
+    assert main(["verify", str(path), "--arch", TOY_ARCH]) == 2
+    captured = capsys.readouterr()
+    assert "checkpoint tensor 'layer.2.attn.wq.dense' is not used" in captured.err
+    assert "tensors OK" not in captured.out
 
 
 def test_verify_detects_corruption(tmp_path, teacher_store, capsys):

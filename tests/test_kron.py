@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kronekit.kron import (FactorShape, FlopCounter, KronFactorPair, choose_order,
-                           dense_matvec_flops, kron_flops, kron_matmul,
+                           dense_matvec_flops, kron_apply, kron_flops, kron_matmul,
                            kron_matvec, kron_product)
 from kronekit.tensor import ShapeError, make_rng
 
@@ -140,6 +140,30 @@ def test_kron_matmul_validation():
         kron_matmul(p, np.zeros(4))      # vector, not matrix
     with pytest.raises(ShapeError):
         kron_matmul(p, np.zeros((5, 2)))
+
+
+def test_kron_apply_matches_reconstruction_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen_orders = set()
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.tuples(*[st.integers(1, 6)] * 4),
+                      st.sampled_from([(), (1,), (2, 3)]), st.integers(0, 2**32 - 1))
+    def check(dims, lead, seed):
+        s = FactorShape(*dims)
+        seen_orders.add(choose_order(s))
+        rng = make_rng(seed)
+        a = rng.standard_normal((s.m1, s.n1))
+        b = rng.standard_normal((s.m2, s.n2))
+        x = rng.standard_normal((*lead, s.cols))
+        got = kron_apply(a, b, x)
+        want = x @ np.kron(a, b).T
+        assert got.shape == (*lead, s.rows)
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
+
+    check()
+    assert seen_orders == {"b_first", "a_first"}
 
 
 def test_dense_matvec_flops():

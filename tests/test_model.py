@@ -59,9 +59,12 @@ def test_kron_embedding_matches_dense_reconstruction():
 
 
 def test_embed_out_of_range():
-    emb = DenseEmbedding(ad.parameter(np.zeros((4, 2))))
-    with pytest.raises(IndexError):
-        embed(emb, np.array([4]))
+    dense = DenseEmbedding(ad.parameter(np.zeros((4, 2))))
+    kron = KronEmbedding(ad.parameter(np.zeros((4, 1))), ad.parameter(np.ones((1, 2))))
+    for emb in (dense, kron):
+        for bad in (-1, 4):  # -1 must not wrap round to the last vocab row
+            with pytest.raises(IndexError, match=f"token id {bad} out of range"):
+                embed(emb, np.array([[0, bad], [1, 2]]))
 
 
 def test_embed_counted_exact_cost_and_values():
@@ -117,6 +120,23 @@ def test_kron_weight_apply_matches_reconstruction():
     x = ad.Tensor(rng.standard_normal((2, 6, 15)))
     dense = kron_product(KronFactorPair(a, b))
     assert np.allclose(kw.apply(x).value, x.value @ dense.T, atol=1e-11)
+
+
+def test_kron_weight_apply_is_one_graph_node(monkeypatch):
+    rng = make_rng(3)
+    kw = KronWeight(ad.parameter(rng.standard_normal((4, 3))),
+                    ad.parameter(rng.standard_normal((2, 5))))
+    x = ad.Tensor(rng.standard_normal((2, 6, 15)))
+    made = []
+    init = ad.Tensor.__init__
+
+    def counted_init(obj, *args, **kwargs):
+        made.append(obj)
+        init(obj, *args, **kwargs)
+    monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
+    y = kw.apply(x)
+    assert made == [y]
+    assert y._parents == (x, kw.a, kw.b)
 
 
 # ------------------------------------------------------------------- forward
