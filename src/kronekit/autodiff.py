@@ -2,12 +2,17 @@
 
 Covers exactly the operations the toy Transformer and the distillation
 losses need: broadcast add/mul, batched matmul, the Kronecker-factored
-linear map ``kron_apply``, reshape/transpose/slice, gather, concat/stack,
-erf-GELU, row softmax, layernorm, reductions, and cross-entropy. Backward
-passes run in a fixed topological order, so replays with identical inputs are
-bitwise deterministic. An op on tensors none of which requires grad records
-no graph, so ``TransformerModel.freeze()`` is how to run inference: each
-intermediate is freed as soon as nothing refers to it.
+linear map ``kron_apply``, reshape, transpose and axis ``permute``, gather,
+concat, erf-GELU, row softmax, layernorm, reductions, and cross-entropy.
+Backward passes run in a fixed topological order, so replays with identical
+inputs are bitwise deterministic. An op on tensors none of which requires
+grad records no graph, so ``TransformerModel.freeze()`` is how to run
+inference: each intermediate is freed as soon as nothing refers to it.
+
+GELU, softmax and layernorm work in place on the arrays they allocate
+themselves (never on an input), with the same operations in the same order
+as the textbook formula, so their values do not depend on whether a graph is
+recorded. GELU also reuses its buffer for the output when no graph is kept.
 """
 
 from __future__ import annotations
@@ -124,13 +129,16 @@ class Tensor:
                 self._accumulate(np.swapaxes(g, -1, -2))
         return Tensor(np.swapaxes(self.value, -1, -2), parents=(self,), backward=backward)
 
-    def slice_last(self, start: int, stop: int):
+    def permute(self, *axes: int):
+        """Axes reordered as ``np.transpose(value, axes)``, a view."""
+        inverse = np.argsort(axes)
+
         def backward(g):
             if self.requires_grad:
-                full = np.zeros_like(self.value)
-                full[..., start:stop] = g
-                self._accumulate(full)
-        return Tensor(self.value[..., start:stop], parents=(self,), backward=backward)
+                # contiguous, so that reductions over this grad (bias sums)
+                # run in the same order as over any other grad
+                self._accumulate(np.ascontiguousarray(np.transpose(g, inverse)))
+        return Tensor(np.transpose(self.value, axes), parents=(self,), backward=backward)
 
     def mean(self, axis=None):
         denom = self.value.size if axis is None else self.value.shape[axis]
@@ -209,34 +217,28 @@ def concat_last(parts: list[Tensor]) -> Tensor:
                   backward=backward)
 
 
-def stack(parts: list[Tensor], axis: int) -> Tensor:
-
-    def backward(g):
-        slices = np.moveaxis(g, axis, 0)
-        for p, s in zip(parts, slices):
-            if p.requires_grad:
-                p._accumulate(s)
-    return Tensor(np.stack([p.value for p in parts], axis=axis), parents=tuple(parts),
-                  backward=backward)
-
-
 def gelu(x: Tensor) -> Tensor:
     """erf-based GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     v = x.value
-    cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
+    cdf = np.multiply(v, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if not x.requires_grad:  # no graph to keep cdf for: it becomes the output
+        cdf *= v
+        return Tensor(cdf)
 
     def backward(g):
-        if x.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
-            x._accumulate(g * (cdf + v * pdf))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
+        x._accumulate(g * (cdf + v * pdf))
     return Tensor(v * cdf, parents=(x,), backward=backward)
 
 
 def softmax_last(x: Tensor) -> Tensor:
     v = x.value
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = v - v.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
@@ -260,10 +262,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     """Normalize over the last axis, then scale and shift."""
     v = x.value
     mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    xhat = v - mu
+    var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
+    xhat *= inv
+    out = xhat * gamma.value
+    out += beta.value
 
     def backward(g):
         if gamma.requires_grad:
@@ -276,7 +280,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
             term2 = gx.mean(axis=-1, keepdims=True)
             term3 = xhat * (gx * xhat).mean(axis=-1, keepdims=True)
             x._accumulate(inv * (term1 - term2 - term3))
-    return Tensor(xhat * gamma.value + beta.value, parents=(x, gamma, beta), backward=backward)
+    return Tensor(out, parents=(x, gamma, beta), backward=backward)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -3,9 +3,15 @@
 
 Both inner products are evaluated in whichever association order is cheaper;
 ties prefer applying B first. :func:`kron_apply` is the one batched kernel:
-the model, ``kron_matmul`` and ``kronekit bench`` all run it. It applies the
-two factors to all input rows at once as two flat 2-D GEMMs; the two axis
-swaps around them are the only copies it makes.
+the model, ``kron_matmul`` and ``kronekit bench`` all run it. It applies B to
+all input rows at once as one flat 2-D GEMM. How it applies A depends on
+which factor is smaller (:func:`kron_layout`):
+
+- A no larger than B (m1*n1 <= m2*n2, the FFN shapes): one broadcast
+  ``np.matmul(A, Z)`` over the T matrices Z_t, which are already laid out
+  for it, so the kernel makes no copy besides the two GEMM outputs.
+- A larger than B (the attention shapes): one flat GEMM against A^T with an
+  axis swap before it and one after; a broadcast of a large A runs slower.
 """
 
 from __future__ import annotations
@@ -163,12 +169,19 @@ def kron_matvec(p: KronFactorPair, x: np.ndarray, counter: FlopCounter | None = 
     return out
 
 
+def kron_layout(shape: FactorShape) -> tuple[str, bool]:
+    """Association order and whether :func:`kron_apply` applies A by one
+    broadcast matmul (A no larger than B) rather than a flat GEMM."""
+    return choose_order(shape), shape.m1 * shape.n1 <= shape.m2 * shape.n2
+
+
 def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x @ (A (x) B)^T`` over the last axis of ``x``, any leading shape.
 
     Row t of ``x``, read row-major as X_t in n1 x n2, maps to A X_t B^T read
-    row-major. All T rows go through two flat 2-D GEMMs, with one axis swap
-    between them and one after (B first) or before (A first).
+    row-major. B is one flat 2-D GEMM over all T rows. A small A is applied
+    to every X_t by one broadcast matmul, with no copy; a large A is one
+    flat GEMM between two axis swaps.
     """
     (m1, n1), (m2, n2) = a.shape, b.shape
     x = np.asarray(x)
@@ -176,14 +189,21 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"kron_apply: input width {x.shape[-1]}, expected {n1 * n2}")
     lead = x.shape[:-1]
     t = math.prod(lead)
-    if choose_order(FactorShape(m1, n1, m2, n2)) == "b_first":
+    order, broadcast_a = kron_layout(FactorShape(m1, n1, m2, n2))
+    if order == "b_first":
         z = x.reshape(t * n1, n2) @ b.T                              # rows of X_t B^T
-        z = z.reshape(t, n1, m2).swapaxes(1, 2).reshape(t * m2, n1)   # rows of B X_t^T
-        y = (z @ a.T).reshape(t, m2, m1).swapaxes(1, 2)              # A X_t B^T
+        if broadcast_a:
+            y = np.matmul(a, z.reshape(t, n1, m2))                   # A X_t B^T
+        else:
+            z = z.reshape(t, n1, m2).swapaxes(1, 2).reshape(t * m2, n1)  # rows of B X_t^T
+            y = (z @ a.T).reshape(t, m2, m1).swapaxes(1, 2)          # A X_t B^T
     else:
-        z = x.reshape(t, n1, n2).swapaxes(1, 2).reshape(t * n2, n1) @ a.T  # rows of (A X_t)^T
-        z = z.reshape(t, n2, m1).swapaxes(1, 2).reshape(t * m1, n2)   # rows of A X_t
-        y = z @ b.T                                                  # rows of A X_t B^T
+        if broadcast_a:
+            z = np.matmul(a, x.reshape(t, n1, n2))                   # A X_t
+        else:
+            z = x.reshape(t, n1, n2).swapaxes(1, 2).reshape(t * n2, n1) @ a.T  # rows of (A X_t)^T
+            z = z.reshape(t, n2, m1).swapaxes(1, 2)                  # A X_t
+        y = z.reshape(t * m1, n2) @ b.T                              # rows of A X_t B^T
     return y.reshape(*lead, m1 * m2)
 
 

@@ -203,26 +203,25 @@ def embed_counted(embedding: KronEmbedding, token_ids: np.ndarray,
 
 def attention_forward(w: AttentionWeights, x: Tensor, heads: int) -> tuple[Tensor, Tensor]:
     """Multi-head attention body: returns (projected output, pre-softmax
-    score stack). Residual/LN are applied by the caller."""
-    d = x.shape[-1]
+    score stack). Residual/LN are applied by the caller.
+
+    All heads run as one batch over (batch, heads, seq, d_k) views of Q, K
+    and V. Q is scaled by 1/sqrt(d_k) before the scores matmul; for a d_k
+    that is a power of four (16, 64) that equals scaling the scores, exactly.
+    """
+    b, s, d = x.shape
     if d % heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {heads} heads")
     dk = d // heads
-    q = w.wq.apply(x) + w.bq
+    q = (w.wq.apply(x) + w.bq) * (1.0 / np.sqrt(dk))
     k = w.wk.apply(x) + w.bk
     v = w.wv.apply(x) + w.bv
-    scores, contexts = [], []
-    scale = 1.0 / np.sqrt(dk)
-    for h in range(heads):
-        qh = q.slice_last(h * dk, (h + 1) * dk)
-        kh = k.slice_last(h * dk, (h + 1) * dk)
-        vh = v.slice_last(h * dk, (h + 1) * dk)
-        o = (qh @ kh.transpose_last()) * scale
-        scores.append(o)
-        contexts.append(ad.softmax_last(o) @ vh)
-    o_stack = ad.stack(scores, axis=-3)
-    a = w.wo.apply(ad.concat_last(contexts)) + w.bo
-    return a, o_stack
+    q = q.reshape(b, s, heads, dk).permute(0, 2, 1, 3)    # (b, h, s, dk)
+    kt = k.reshape(b, s, heads, dk).permute(0, 2, 3, 1)   # (b, h, dk, s)
+    v = v.reshape(b, s, heads, dk).permute(0, 2, 1, 3)
+    scores = q @ kt
+    ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
+    return w.wo.apply(ctx) + w.bo, scores
 
 
 def ffn_forward(w: FfnWeights, x: Tensor, ln_gamma: Tensor, ln_beta: Tensor) -> Tensor:

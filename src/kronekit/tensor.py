@@ -38,15 +38,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got ndim={m.ndim}")
-    return m
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with an explicit dimension check."""
     if a.shape[1] != b.shape[0]:
@@ -73,6 +64,7 @@ def reshape_vec(x: np.ndarray, r: int, c: int) -> np.ndarray:
 _MAGIC = b"KTS"
 _VERSION = b"1"
 _DTYPE_CODES = {0: np.float64, 1: np.float32}
+_U16_MAX = 0xFFFF  # tensor count and name length are stored as uint16
 _CODE_FOR_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 
@@ -108,11 +100,17 @@ class NamedTensorStore:
         return iter(self._entries.items())
 
     def save(self, path) -> None:
+        if len(self._entries) > _U16_MAX:
+            raise StoreError(f"{path}: {len(self._entries)} tensors, "
+                             f"a KTS file holds at most {_U16_MAX}")
         blob = bytearray()
         blob += _MAGIC + _VERSION
         blob += struct.pack("<H", len(self._entries))
         for name, m in self._entries.items():
             raw_name = name.encode("utf-8")
+            if len(raw_name) > _U16_MAX:
+                raise StoreError(f"{path}: tensor name {name[:40]!r}... is {len(raw_name)} "
+                                 f"bytes in UTF-8, at most {_U16_MAX} fit")
             code = _CODE_FOR_DTYPE[m.dtype]
             blob += struct.pack("<H", len(raw_name))
             blob += raw_name

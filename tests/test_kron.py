@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from kronekit.kron import (FactorShape, FlopCounter, KronFactorPair, choose_order,
-                           dense_matvec_flops, kron_apply, kron_flops, kron_matmul,
-                           kron_matvec, kron_product)
+                           dense_matvec_flops, kron_apply, kron_flops, kron_layout,
+                           kron_matmul, kron_matvec, kron_product)
+from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import ShapeError, make_rng
 
+from conftest import config_path
 from oracles import kron_oracle
 
 
@@ -145,14 +149,14 @@ def test_kron_matmul_validation():
 def test_kron_apply_matches_reconstruction_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    seen_orders = set()
+    seen_layouts = set()
 
     @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.tuples(*[st.integers(1, 6)] * 4),
                       st.sampled_from([(), (1,), (2, 3)]), st.integers(0, 2**32 - 1))
     def check(dims, lead, seed):
         s = FactorShape(*dims)
-        seen_orders.add(choose_order(s))
+        seen_layouts.add(kron_layout(s))
         rng = make_rng(seed)
         a = rng.standard_normal((s.m1, s.n1))
         b = rng.standard_normal((s.m2, s.n2))
@@ -163,7 +167,36 @@ def test_kron_apply_matches_reconstruction_property():
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
 
     check()
-    assert seen_orders == {"b_first", "a_first"}
+    # both association orders, each with A broadcast (small A) and swapped
+    assert seen_layouts == {(order, small_a) for order in ("b_first", "a_first")
+                            for small_a in (True, False)}
+
+
+# (group, factor shape at BERT width, (order, A broadcast)) of each paper plan
+PLAN_LAYOUTS = {
+    "kron8_shapes.json": [
+        ("attention", FactorShape(384, 384, 2, 2), ("b_first", False)),
+        ("ffn1", FactorShape(8, 2, 384, 384), ("b_first", True)),
+        ("ffn2", FactorShape(2, 8, 384, 384), ("a_first", True)),
+    ],
+    "kron19_shapes.json": [
+        ("attention", FactorShape(384, 48, 2, 16), ("b_first", False)),
+        ("ffn1", FactorShape(16, 2, 192, 384), ("b_first", True)),
+        ("ffn2", FactorShape(2, 16, 384, 192), ("a_first", True)),
+    ],
+}
+
+
+@pytest.mark.parametrize("plan_file", sorted(PLAN_LAYOUTS))
+def test_kron_layout_of_the_paper_plans(plan_file):
+    arch = ArchSpec.load(config_path("bert_base.json"))
+    with open(config_path(plan_file)) as fh:
+        spec = json.load(fh)
+    plan = make_plan(arch, tuple(spec["attention"]), tuple(spec["ffn1"]), spec["embedding_n"])
+    for group, shape, layout in PLAN_LAYOUTS[plan_file]:
+        assert getattr(plan, f"{group}_shape") == shape
+        assert kron_layout(shape) == layout
+        assert layout[0] == choose_order(shape)
 
 
 def test_dense_matvec_flops():

@@ -252,14 +252,17 @@ def _trace_tensors(trace):
 
 
 def test_frozen_forward_keeps_no_graph():
-    model = build_dense_model(TOY, make_rng(19))
+    # bit-equal values also guard the in-place GELU/softmax/layernorm branches
+    teacher = build_dense_model(TOY, make_rng(19))
+    student, _ = init_student_from_teacher(teacher, PLAN)
     ids = make_rng(20).integers(0, TOY.vocab_size, size=(2, 4))
-    live = forward(model, ids)
-    assert all(t._parents for t in _trace_tensors(live))
-    frozen = forward(model.freeze(), ids)
-    for a, b in zip(_trace_tensors(live), _trace_tensors(frozen)):
-        assert b._parents == () and b._backward is None and not b.requires_grad
-        assert np.array_equal(a.value, b.value)
+    for model in (teacher, student):
+        live = forward(model, ids)
+        assert all(t._parents for t in _trace_tensors(live))
+        frozen = forward(model.freeze(), ids)
+        for a, b in zip(_trace_tensors(live), _trace_tensors(frozen), strict=True):
+            assert b._parents == () and b._backward is None and not b.requires_grad
+            assert np.array_equal(a.value, b.value)
 
 
 def test_frozen_teacher_leaves_student_grads_unchanged():

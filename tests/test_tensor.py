@@ -87,6 +87,26 @@ def test_store_rejects_duplicates_and_bad_shapes():
         store.add("cube", np.zeros((2, 2, 2)))
 
 
+def test_store_save_rejects_what_uint16_cannot_count(tmp_path):
+    one = np.zeros((1, 1))  # shared by every name, so no large tensor is built
+    many = NamedTensorStore()
+    for i in range(65536):
+        many.add(f"t{i}", one)
+    path = tmp_path / "many.kts"
+    with pytest.raises(StoreError, match="65536 tensors"):
+        many.save(path)
+    assert not path.exists()
+    long_name = NamedTensorStore()
+    long_name.add("w" * 65536, one)
+    with pytest.raises(StoreError, match="'wwww.*65536 bytes"):
+        long_name.save(path)
+    assert not path.exists()
+    edge = NamedTensorStore()
+    edge.add("w" * 65535, one)
+    edge.save(path)
+    assert NamedTensorStore.load(path).names() == ["w" * 65535]
+
+
 def test_store_bad_magic(tmp_path):
     path = tmp_path / "bad.kts"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
