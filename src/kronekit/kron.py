@@ -1,9 +1,9 @@
-"""Kronecker algebra: explicit product, the reconstruction-free matvec
-(A (x) B) x = V(B R(x) A^T), batched application, and FLOP cost models.
+"""Kronecker algebra: explicit product, reconstruction-free application
+of W = A (x) B to row vectors, and FLOP cost models.
 
 Both inner products are evaluated in whichever association order is cheaper;
-ties prefer applying B first. :func:`kron_apply` is the one batched kernel:
-the model, ``kron_matmul`` and ``kronekit bench`` all run it. It applies B to
+ties prefer applying B first. :func:`kron_apply` is the one kernel: the
+model, ``kronekit bench`` and ``kronekit verify`` all run it. It applies B to
 all input rows at once as one flat 2-D GEMM. How it applies A depends on
 which factor is smaller (:func:`kron_layout`):
 
@@ -81,18 +81,6 @@ class KronFactorPair:
         return self.a.size + self.b.size
 
 
-@dataclass
-class FlopCounter:
-    """Per-call multiply/add accumulator; never shared between calls."""
-
-    mults: int = 0
-    adds: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.mults + self.adds
-
-
 def kron_product(p: KronFactorPair) -> np.ndarray:
     """Explicit block matrix: block (i, j) equals A[i, j] * B."""
     return np.kron(p.a, p.b)
@@ -122,51 +110,6 @@ def dense_matvec_flops(m: int, n: int) -> int:
 def choose_order(shape: FactorShape) -> str:
     """Cheaper association order; ties prefer applying B first."""
     return _order_cost(shape)[1]
-
-
-def _counted_matmul(a: np.ndarray, b: np.ndarray, counter: FlopCounter) -> np.ndarray:
-    """Scalar-loop product that counts every multiply and add it performs."""
-    p, q = a.shape
-    q2, r = b.shape
-    out = np.empty((p, r))
-    for i in range(p):
-        for k in range(r):
-            acc = a[i, 0] * b[0, k]
-            counter.mults += 1
-            for j in range(1, q):
-                acc += a[i, j] * b[j, k]
-                counter.mults += 1
-                counter.adds += 1
-            out[i, k] = acc
-    return out
-
-
-def kron_matvec(p: KronFactorPair, x: np.ndarray, counter: FlopCounter | None = None,
-                order: str | None = None) -> np.ndarray:
-    """Apply W = A (x) B to a vector without reconstructing W.
-
-    ``order`` forces "b_first" or "a_first"; by default the cheaper one is
-    used. With ``counter`` the two inner products run through an instrumented
-    scalar loop so the reported count is what was actually executed.
-    """
-    shape = p.shape
-    flat = np.asarray(x).reshape(-1)
-    if flat.size != shape.cols:
-        raise ShapeError(f"kron_matvec: input length {flat.size}, expected {shape.cols}")
-    if order is None:
-        order = choose_order(shape)
-    r = flat.reshape(shape.n1, shape.n2).T  # R_{n2 x n1}(x), columns of size n2
-    mm = (lambda u, v: _counted_matmul(u, v, counter)) if counter is not None else (lambda u, v: u @ v)
-    if order == "b_first":
-        y = mm(mm(p.b, r), p.a.T)
-    elif order == "a_first":
-        y = mm(p.b, mm(r, p.a.T))
-    else:
-        raise ValueError(f"unknown association order {order!r}")
-    out = y.flatten(order="F")  # V(.) stacks columns
-    if np.asarray(x).ndim == 2:
-        return out.reshape(-1, 1)
-    return out
 
 
 def kron_layout(shape: FactorShape) -> tuple[str, bool]:
@@ -205,11 +148,3 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
             z = z.reshape(t, n2, m1).swapaxes(1, 2)                  # A X_t
         y = z.reshape(t * m1, n2) @ b.T                              # rows of A X_t B^T
     return y.reshape(*lead, m1 * m2)
-
-
-def kron_matmul(p: KronFactorPair, x: np.ndarray) -> np.ndarray:
-    """Column-wise extension of :func:`kron_matvec` to a matrix of inputs."""
-    xm = np.asarray(x)
-    if xm.ndim != 2:
-        raise ShapeError(f"kron_matmul: expected a matrix, got ndim={xm.ndim}")
-    return kron_apply(p.a, p.b, xm.T).T

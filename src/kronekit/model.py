@@ -24,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kron import FactorShape, FlopCounter
-from .nkp import nearest_kronecker
+from .kron import FactorShape
+from .nkp import NkpResult, nearest_kronecker
 from .planner import ArchSpec, CompressionPlan
 from .tensor import NamedTensorStore, ShapeError
 
@@ -185,22 +185,6 @@ def embed(embedding: DenseEmbedding | KronEmbedding, token_ids: np.ndarray) -> T
     return tiles.reshape(*ids.shape, k * n)
 
 
-def embed_counted(embedding: KronEmbedding, token_ids: np.ndarray,
-                  counter: FlopCounter) -> np.ndarray:
-    """Scalar-loop embedding lookup that counts every multiply performed."""
-    ids = np.asarray(token_ids).reshape(-1)
-    a = embedding.table.value
-    brow = embedding.row.value[0]
-    k, n = a.shape[1], brow.size
-    out = np.empty((ids.size, k * n))
-    for t, tok in enumerate(ids):
-        for i in range(k):
-            for j in range(n):
-                out[t, i * n + j] = a[tok, i] * brow[j]
-                counter.mults += 1
-    return out
-
-
 def attention_forward(w: AttentionWeights, x: Tensor, heads: int) -> tuple[Tensor, Tensor]:
     """Multi-head attention body: returns (projected output, pre-softmax
     score stack). Residual/LN are applied by the caller.
@@ -299,38 +283,46 @@ def build_dense_model(arch: ArchSpec, rng: np.random.Generator,
 
 
 def _nkp_weight(name: str, w: np.ndarray, shape: FactorShape,
-                residuals: dict[str, float]) -> KronWeight:
+                results: dict[str, NkpResult]) -> KronWeight:
     try:
         res = nearest_kronecker(w, shape)
-    except Exception as exc:
+    except ValueError as exc:  # non-finite entries
         raise RuntimeError(f"factor initialization failed for {name!r}: {exc}") from exc
-    residuals[name] = res.residual
+    results[name] = res
     return KronWeight(ad.parameter(res.factors.a), ad.parameter(res.factors.b))
 
 
 def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
                               rng: np.random.Generator | None = None,
-                              ) -> tuple[TransformerModel, dict[str, float]]:
+                              ) -> tuple[TransformerModel, dict[str, NkpResult]]:
     """Compress a dense teacher: factorized groups get their nearest
     Kronecker approximation, everything else is copied verbatim.
 
-    The result is deterministic; ``rng`` is unused and kept only so that
-    existing callers that pass it keep working."""
+    Returns the student and the NKP result of each factorized weight, keyed
+    by the teacher's checkpoint name (``embedding.dense``,
+    ``layer.0.attn.wq.dense``, ...). Every plan group is checked against the
+    architecture before any factorization; a misfit raises ``ShapeError``
+    naming the group. The result is deterministic; ``rng`` is unused and kept
+    only so that existing callers that pass it keep working."""
     arch = teacher.arch
-    d = arch.hidden
-    if plan.attention_shape.rows != d or plan.attention_shape.cols != d:
-        raise ShapeError(f"attention shape {plan.attention_shape} does not fit {d}x{d}")
+    d, f = arch.hidden, arch.ffn_dim
+    for group, shape, rows, cols in (("attention", plan.attention_shape, d, d),
+                                     ("ffn1", plan.ffn1_shape, f, d),
+                                     ("ffn2", plan.ffn2_shape, d, f)):
+        if (shape.rows, shape.cols) != (rows, cols):
+            raise ShapeError(f"plan {group} shape is {shape.rows}x{shape.cols}, "
+                             f"the architecture's weight is {rows}x{cols}")
     if d % plan.embedding_n != 0:
-        raise ShapeError(f"embedding_n={plan.embedding_n} does not divide {d}")
-    residuals: dict[str, float] = {}
+        raise ShapeError(f"plan embedding_n={plan.embedding_n} does not divide {d}")
+    if not isinstance(teacher.embedding, DenseEmbedding):
+        raise ShapeError("teacher must be dense")
+    results: dict[str, NkpResult] = {}
 
     def copy(t: Tensor) -> Tensor:
         return ad.parameter(t.value.copy())
 
-    if not isinstance(teacher.embedding, DenseEmbedding):
-        raise ShapeError("teacher must be dense")
     emb_shape = FactorShape(arch.vocab_size, d // plan.embedding_n, 1, plan.embedding_n)
-    kw = _nkp_weight("embedding", teacher.embedding.table.value, emb_shape, residuals)
+    kw = _nkp_weight("embedding.dense", teacher.embedding.table.value, emb_shape, results)
     embedding = KronEmbedding(table=kw.a, row=kw.b)
 
     layers = []
@@ -338,7 +330,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
         def factor(key, wobj, shape):
             if not isinstance(wobj, DenseWeight):
                 raise ShapeError("teacher must be dense")
-            return _nkp_weight(f"layer.{i}.{key}", wobj.w.value, shape, residuals)
+            return _nkp_weight(f"layer.{i}.{key}.dense", wobj.w.value, shape, results)
         attn = AttentionWeights(
             wq=factor("attn.wq", lay.attn.wq, plan.attention_shape),
             wk=factor("attn.wk", lay.attn.wk, plan.attention_shape),
@@ -355,19 +347,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     student = TransformerModel(arch, embedding, copy(teacher.position),
                                copy(teacher.emb_ln_gamma), copy(teacher.emb_ln_beta),
                                layers, copy(teacher.head_w), copy(teacher.head_b))
-    return student, residuals
-
-
-def exact_kron_model(teacher: TransformerModel, plan: CompressionPlan) -> TransformerModel:
-    """Teacher rebuilt with factor pairs that reproduce its weights exactly.
-
-    Only valid when the teacher's weights are themselves exact Kronecker
-    products of the planned shapes; used by equivalence tests."""
-    student, residuals = init_student_from_teacher(teacher, plan)
-    worst = max(residuals.values())
-    if worst > 1e-6:
-        raise ValueError(f"teacher weights are not exact Kronecker products (residual {worst:.3e})")
-    return student
+    return student, results
 
 
 # ----------------------------------------------------------- serialization
@@ -381,9 +361,9 @@ def model_to_store(model: TransformerModel) -> NamedTensorStore:
 
 
 def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerModel:
-    """Model from a checkpoint, with every tensor it reads checked against
-    ``arch``: a missing tensor raises ``KeyError`` and a tensor (or factor
-    pair) of the wrong shape raises ``ShapeError``, each naming it."""
+    """Model from a checkpoint, checked against ``arch``: a missing tensor
+    raises ``KeyError``, and a tensor (or factor pair) of the wrong shape or
+    one the architecture does not use raises ``ShapeError``, each naming it."""
     d, f = arch.hidden, arch.ffn_dim
 
     def tensor(name):
@@ -433,7 +413,13 @@ def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerMode
                                    get(f"{p}.attn.ln.beta", d), ffn,
                                    get(f"{p}.ffn.ln.gamma", d),
                                    get(f"{p}.ffn.ln.beta", d)))
-    return TransformerModel(arch, embedding, get("embedding.position", arch.max_seq_len, d),
-                            get("embedding.ln.gamma", d), get("embedding.ln.beta", d),
-                            layers, get("head.weight", arch.num_classes, d),
-                            get("head.bias", arch.num_classes))
+    model = TransformerModel(arch, embedding, get("embedding.position", arch.max_seq_len, d),
+                             get("embedding.ln.gamma", d), get("embedding.ln.beta", d),
+                             layers, get("head.weight", arch.num_classes, d),
+                             get("head.bias", arch.num_classes))
+    used = model.parameters()
+    unused = [name for name in store.names() if name not in used]
+    if unused:
+        raise ShapeError(f"checkpoint tensor {unused[0]!r} is not used by the "
+                         f"architecture ({len(unused)} unused)")
+    return model

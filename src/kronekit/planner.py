@@ -17,12 +17,45 @@ Accounting conventions (also emitted by the CLI report):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .kron import FactorShape, dense_matvec_flops, kron_flops
 from .tensor import ShapeError
 
 SOFTMAX_FLOPS_PER_ELEMENT = 5  # exp + sum + div approximation, per row element
+
+
+_KINDS = {int: "a positive integer", bool: "true or false", dict: "an object",
+          tuple: "a pair of positive integers"}
+
+
+def _positive_int(v) -> bool:
+    return type(v) is int and v >= 1  # exact type: JSON true is not a dimension
+
+
+def _require_object(d, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ShapeError(f"{where}: expected a JSON object, got {type(d).__name__}")
+
+
+def json_field(d, key: str, where: str, kind: type = int):
+    """``d[key]`` of a parsed JSON config, checked to be ``kind``: a positive
+    integer, a boolean, an object, or (tuple) a pair of positive integers.
+    A non-object ``d`` or a missing or malformed field raises ShapeError
+    naming the field."""
+    _require_object(d, where)
+    if key not in d:
+        raise ShapeError(f"{where}: missing field {key!r}")
+    v = d[key]
+    if kind is int:
+        ok = _positive_int(v)
+    elif kind is tuple:
+        ok = isinstance(v, list) and len(v) == 2 and all(map(_positive_int, v))
+    else:
+        ok = type(v) is kind
+    if not ok:
+        raise ShapeError(f"{where}: field {key!r} must be {_KINDS[kind]}, got {v!r}")
+    return tuple(v) if kind is tuple else v
 
 
 class PlanInfeasibleError(ValueError):
@@ -69,8 +102,13 @@ class ArchSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "ArchSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        """Unknown keys are ignored; a missing dimension, a dimension that is
+        not a positive integer or a flag that is not a boolean raises
+        ShapeError naming the field."""
+        _require_object(d, "arch")
+        kinds = {f.name: int if f.default is MISSING else type(f.default)
+                 for f in fields(cls) if f.default is MISSING or f.name in d}
+        return cls(**{name: json_field(d, name, "arch", kind) for name, kind in kinds.items()})
 
     @classmethod
     def load(cls, path) -> "ArchSpec":
@@ -104,12 +142,14 @@ class CompressionPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "CompressionPlan":
-        return cls(
-            attention_shape=FactorShape.from_json(d["attention_shape"]),
-            ffn1_shape=FactorShape.from_json(d["ffn1_shape"]),
-            ffn2_shape=FactorShape.from_json(d["ffn2_shape"]),
-            embedding_n=int(d["embedding_n"]),
-        )
+        """A missing or malformed field raises ShapeError naming it."""
+        def shape(key: str) -> FactorShape:
+            s = json_field(d, key, "plan", dict)
+            for k in ("m1", "n1", "m2", "n2"):
+                json_field(s, k, f"plan {key}")
+            return FactorShape.from_json(s)
+        return cls(shape("attention_shape"), shape("ffn1_shape"), shape("ffn2_shape"),
+                   json_field(d, "embedding_n", "plan"))
 
     @classmethod
     def load(cls, path) -> "CompressionPlan":

@@ -1,5 +1,5 @@
-"""Dense matrix core: shape-checked ops, the column-stacking vec/reshape pair,
-seeded RNG construction, and the KTS1 checkpoint format.
+"""Dense matrix core: the shared error types, seeded RNG construction, and
+the KTS1 checkpoint format.
 
 Matrices are plain 2-D numpy arrays (float64 by default, float32 allowed for
 benchmarking). Everything here is pure; arrays are treated as immutable.
@@ -14,7 +14,7 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operands have incompatible shapes."""
+    """Shapes do not fit, or a config field is missing or malformed."""
 
 
 class StoreError(Exception):
@@ -36,29 +36,6 @@ class TruncatedFileError(StoreError):
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic generator: identical seed gives an identical stream."""
     return np.random.default_rng(seed)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Stack the columns of ``m`` into a single column vector.
-
-    Entry k of the result is m[k mod rows, k div rows].
-    """
-    return m.reshape(-1, 1, order="F")
-
-
-def reshape_vec(x: np.ndarray, r: int, c: int) -> np.ndarray:
-    """Inverse of :func:`vec`: split a vector into c columns of length r."""
-    flat = np.asarray(x).reshape(-1)
-    if flat.size != r * c:
-        raise ShapeError(f"reshape: vector of length {flat.size} cannot fill {r}x{c}")
-    return flat.reshape(r, c, order="F")
 
 
 _MAGIC = b"KTS"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from kronekit.cli import main
-from kronekit.model import build_dense_model, model_to_store
-from kronekit.planner import ArchSpec
+from kronekit.model import (build_dense_model, forward, init_student_from_teacher,
+                            model_from_store, model_to_store)
+from kronekit.planner import ArchSpec, CompressionPlan
 from kronekit.tensor import NamedTensorStore, make_rng
 
 from conftest import config_path
@@ -64,6 +65,10 @@ def test_compress_then_verify(tmp_path, teacher_store, capsys):
     assert "layer.0.attn.bq" in store  # biases pass through untouched
     assert main(["verify", str(out), "--arch", TOY_ARCH]) == 0
     assert "OK" in capsys.readouterr().out
+    for argv in (["compress", str(out), TOY_SHAPES, "--arch", TOY_ARCH],
+                 ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--teacher", str(out)]):
+        assert main(argv + ["--out", str(tmp_path / "again.kts")]) == 2
+        assert "teacher must be dense" in capsys.readouterr().err
 
 
 def test_compress_shape_mismatch(tmp_path, teacher_store):
@@ -72,6 +77,34 @@ def test_compress_shape_mismatch(tmp_path, teacher_store):
     # the toy teacher fits this plan; break it by using the bert shapes file
     assert main(["compress", str(teacher_store), config_path("kron8_shapes.json"),
                  "--arch", TOY_ARCH, "--out", str(tmp_path / "x.kts")]) == 2
+
+
+def test_compress_rejects_tensors_the_arch_does_not_use(tmp_path, capsys):
+    path = tmp_path / "three_layers.kts"
+    arch = replace(ArchSpec.load(TOY_ARCH), layers=3)
+    model_to_store(build_dense_model(arch, make_rng(0))).save(path)
+    out = tmp_path / "x.kts"
+    assert main(["compress", str(path), TOY_SHAPES, "--arch", TOY_ARCH,
+                 "--out", str(out)]) == 2
+    assert "checkpoint tensor 'layer.2.attn.wq.dense' is not used" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_group_not_fitting_arch_is_validation_error(tmp_path, teacher_store, capsys):
+    # full-form plan whose ffn1 is 128x32 where the toy FFN1 weight is 64x32
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "attention_shape": {"m1": 16, "n1": 16, "m2": 2, "n2": 2},
+        "ffn1_shape": {"m1": 8, "n1": 4, "m2": 16, "n2": 8},
+        "ffn2_shape": {"m1": 4, "n1": 8, "m2": 8, "n2": 8},
+        "embedding_n": 4}))
+    out = tmp_path / "x.kts"
+    for argv in (["compress", str(teacher_store), str(plan), "--arch", TOY_ARCH],
+                 ["distill", str(plan), "--arch", TOY_ARCH, "--teacher", str(teacher_store),
+                  "--steps", "1"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "plan ffn1 shape is 128x32" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compress_non_finite_weight_is_validation_error(tmp_path, capsys):
@@ -218,10 +251,83 @@ def test_report_table(capsys):
     assert "FLOPs convention" in out and "excludes bias vectors" in out
 
 
-def test_invalid_plan_json_is_validation_error(tmp_path):
+def test_invalid_plan_json_is_validation_error(tmp_path, teacher_store, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["plan", TOY_ARCH, "--shapes", str(bad)]) == 2
-    missing = tmp_path / "missing_keys.json"
-    missing.write_text(json.dumps({"attention": [16, 16]}))
-    assert main(["plan", TOY_ARCH, "--shapes", str(missing)]) == 2
+    full = {"attention_shape": {"m1": 16, "n1": 16, "m2": 2, "n2": 2},
+            "ffn1_shape": {"m1": 8, "n1": 4, "m2": 8, "n2": 8},
+            "ffn2_shape": {"m1": 4, "n1": 8, "m2": 8, "n2": 8}, "embedding_n": 4}
+    for payload, message in (
+            ({"attention": [16, 16]}, "missing field 'ffn1'"),
+            ({"attention": [16, 16], "ffn1": [8], "embedding_n": 4}, "field 'ffn1' must be"),
+            ({"attention": [16, 0], "ffn1": [8, 4], "embedding_n": 4}, "field 'attention'"),
+            ([16, 16], "expected a JSON object, got list"),
+            (full | {"embedding_n": "4"}, "field 'embedding_n' must be"),
+            (full | {"ffn2_shape": [4, 8, 8, 8]}, "field 'ffn2_shape' must be an object"),
+            (full | {"ffn1_shape": {"m1": 8, "n1": 4, "m2": 8}}, "missing field 'n2'")):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(payload))
+        assert main(["plan", TOY_ARCH, "--shapes", str(plan)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["compress", str(teacher_store), str(plan), "--arch", TOY_ARCH,
+                     "--out", str(tmp_path / "x.kts")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_invalid_arch_json_is_validation_error(tmp_path, capsys):
+    toy = ArchSpec.load(TOY_ARCH).to_json()
+    no_layers = {k: v for k, v in toy.items() if k != "layers"}
+    for payload, message in (
+            (no_layers, "arch: missing field 'layers'"),
+            (toy | {"hidden": "32"}, "arch: field 'hidden' must be a positive integer, got '32'"),
+            (toy | {"heads": 0}, "field 'heads' must be a positive integer"),
+            (toy | {"has_biases": "false"}, "field 'has_biases' must be true or false"),
+            ([toy], "arch: expected a JSON object, got list")):
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(payload))
+        assert main(["plan", str(arch), "--ratio", "2"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def _multiplied_out(store: NamedTensorStore) -> NamedTensorStore:
+    """The checkpoint with every Kronecker factor pair replaced by its product."""
+    out = NamedTensorStore()
+    for name, m in store.items():
+        if name == "embedding.table":
+            out.add("embedding.dense", np.kron(m, store["embedding.row"]))
+        elif name.endswith(".a"):
+            out.add(f"{name[:-2]}.dense", np.kron(m, store[f"{name[:-2]}.b"]))
+        elif name != "embedding.row" and not name.endswith(".b"):
+            out.add(name, m)
+    return out
+
+
+@pytest.mark.parametrize("shapes", ["kron8_shapes.json", "kron19_shapes.json"])
+def test_pipeline_at_bert_width(tmp_path, capsys, shapes):
+    arch = replace(ArchSpec.load(BERT_ARCH), layers=1, vocab_size=512)
+    arch_path, plan_path = tmp_path / "arch.json", tmp_path / "plan.json"
+    arch_path.write_text(json.dumps(arch.to_json()))
+    teacher = build_dense_model(arch, make_rng(0))
+    dense_path, out = tmp_path / "dense.kts", tmp_path / "compressed.kts"
+    model_to_store(teacher).save(dense_path)
+    assert main(["plan", str(arch_path), "--shapes", config_path(shapes),
+                 "--out", str(plan_path)]) == 0
+    assert main(["compress", str(dense_path), str(plan_path), "--arch", str(arch_path),
+                 "--out", str(out)]) == 0
+    assert main(["verify", str(out), "--arch", str(arch_path)]) == 0
+    capsys.readouterr()
+    # the CLI writes exactly what the library path writes
+    student, _ = init_student_from_teacher(teacher, CompressionPlan.load(plan_path))
+    model_to_store(student).save(tmp_path / "library.kts")
+    assert out.read_bytes() == (tmp_path / "library.kts").read_bytes()
+    # factorized forward vs the forward of the multiplied-out factors (criterion 7's bound)
+    compressed = NamedTensorStore.load(out)
+    factorized = model_from_store(compressed, arch).freeze()
+    reconstructed = model_from_store(_multiplied_out(compressed), arch).freeze()
+    ids = make_rng(1).integers(0, arch.vocab_size, size=(2, 8))
+    t, r = forward(factorized, ids), forward(reconstructed, ids)
+    worst = max(float(np.abs(a.value - b.value).max()) for a, b in zip(
+        [t.E, *t.attn_scores, *t.attn_out, *t.ffn_out, t.logits],
+        [r.E, *r.attn_scores, *r.attn_out, *r.ffn_out, r.logits], strict=True))
+    assert worst < 1e-10

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from kronekit.kron import (FactorShape, FlopCounter, KronFactorPair, choose_order,
-                           dense_matvec_flops, kron_apply, kron_flops, kron_layout,
-                           kron_matmul, kron_matvec, kron_product)
+from kronekit.kron import (FactorShape, KronFactorPair, choose_order, dense_matvec_flops,
+                           kron_apply, kron_flops, kron_layout, kron_product)
 from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import ShapeError, make_rng
 
 from conftest import config_path
-from oracles import kron_oracle
+from oracles import FlopCounter, kron_matvec_oracle, kron_oracle
 
 
 def random_pair(rng, hi=9) -> KronFactorPair:
@@ -50,31 +49,23 @@ def test_kron_product_rank_multiplicative():
 
 
 def test_kron_matvec_matches_reconstruction():
+    # the loop oracle in both orders and the kernel all equal W x
     rng = make_rng(3)
     for _ in range(50):
         p = random_pair(rng)
         x = rng.standard_normal(p.cols)
         want = kron_product(p) @ x
-        for order in (None, "b_first", "a_first"):
-            got = kron_matvec(p, x, order=order)
-            assert np.allclose(got, want, atol=1e-11)
-
-
-def test_kron_matvec_column_input():
-    rng = make_rng(4)
-    p = random_pair(rng)
-    x = rng.standard_normal((p.cols, 1))
-    got = kron_matvec(p, x)
-    assert got.shape == (p.rows, 1)
-    assert np.allclose(got, kron_product(p) @ x, atol=1e-11)
+        for order in ("b_first", "a_first"):
+            assert np.allclose(kron_matvec_oracle(p.a, p.b, x, order), want, atol=1e-11)
+        assert np.allclose(kron_apply(p.a, p.b, x), want, atol=1e-11)
 
 
 def test_kron_matvec_validation():
     p = KronFactorPair(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ShapeError):
-        kron_matvec(p, np.zeros(5))
+        kron_matvec_oracle(p.a, p.b, np.zeros(5), "b_first")
     with pytest.raises(ValueError):
-        kron_matvec(p, np.zeros(4), order="sideways")
+        kron_matvec_oracle(p.a, p.b, np.zeros(4), "sideways")
 
 
 def test_kron_flops_published_example():
@@ -110,7 +101,7 @@ def test_counter_matches_flops_model():
         s = p.shape
         x = rng.standard_normal(s.cols)
         counter = FlopCounter()
-        kron_matvec(p, x, counter=counter)
+        kron_matvec_oracle(p.a, p.b, x, choose_order(s), counter)
         assert counter.total == kron_flops(s)
 
 
@@ -123,27 +114,13 @@ def test_counter_matches_forced_branch_formula():
     a_first = (2 * s.n1 - 1) * s.n2 * s.m1 + (2 * s.n2 - 1) * s.m2 * s.m1
     for order, want in (("b_first", b_first), ("a_first", a_first)):
         counter = FlopCounter()
-        kron_matvec(p, x, counter=counter, order=order)
+        kron_matvec_oracle(p.a, p.b, x, order, counter)
         assert counter.total == want
 
 
-def test_kron_matmul_matches_column_wise_matvec():
-    rng = make_rng(8)
-    for _ in range(20):
-        p = random_pair(rng)
-        x = rng.standard_normal((p.cols, int(rng.integers(1, 6))))
-        got = kron_matmul(p, x)
-        want = np.column_stack([kron_matvec(p, x[:, c]) for c in range(x.shape[1])])
-        assert np.allclose(got, want, atol=1e-11)
-        assert np.allclose(got, kron_product(p) @ x, atol=1e-11)
-
-
-def test_kron_matmul_validation():
-    p = KronFactorPair(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        kron_matmul(p, np.zeros(4))      # vector, not matrix
-    with pytest.raises(ShapeError):
-        kron_matmul(p, np.zeros((5, 2)))
+def test_kron_apply_rejects_wrong_width():
+    with pytest.raises(ShapeError, match="input width 5, expected 4"):
+        kron_apply(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 5)))
 
 
 def test_kron_apply_matches_reconstruction_property():

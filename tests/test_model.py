@@ -3,16 +3,16 @@ import pytest
 
 from kronekit import autodiff as ad
 from kronekit import distill as kd
-from kronekit.kron import FlopCounter, KronFactorPair, kron_product
+from kronekit.kron import KronFactorPair, kron_product
 from kronekit.model import (AttentionWeights, DenseEmbedding, DenseWeight,
                             KronEmbedding, KronWeight, attention_forward,
-                            build_dense_model, embed, embed_counted,
-                            exact_kron_model, forward, init_student_from_teacher,
+                            build_dense_model, embed, forward, init_student_from_teacher,
                             model_from_store, model_to_store)
 from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
 
 from conftest import config_path
+from oracles import FlopCounter, kron_embed_oracle
 
 TOY = ArchSpec.load(config_path("toy.json"))
 PLAN = make_plan(TOY, (16, 16), (8, 4), 4)
@@ -37,6 +37,18 @@ def toy_exact_kron_teacher(seed=0):
             b = rng.standard_normal((shape.m2, shape.n2)) / np.sqrt(shape.n2)
             wobj.w.value = np.kron(a, b)
     return teacher
+
+
+def exact_kron_model(teacher, plan):
+    """Teacher rebuilt with factor pairs that reproduce its weights exactly.
+
+    Only valid when the teacher's weights are themselves exact Kronecker
+    products of the planned shapes, as in :func:`toy_exact_kron_teacher`."""
+    student, results = init_student_from_teacher(teacher, plan)
+    worst = max(r.residual for r in results.values())
+    if worst > 1e-6:
+        raise ValueError(f"teacher weights are not exact Kronecker products (residual {worst:.3e})")
+    return student
 
 
 # ---------------------------------------------------------------- embeddings
@@ -73,7 +85,7 @@ def test_embed_counted_exact_cost_and_values():
                         ad.parameter(rng.standard_normal((1, 4))))
     ids = rng.integers(0, 10, size=7)
     counter = FlopCounter()
-    out = embed_counted(emb, ids, counter)
+    out = kron_embed_oracle(emb.table.value, emb.row.value, ids, counter)
     assert counter.mults == 7 * 12  # exactly d multiplies per token
     assert counter.adds == 0
     assert np.allclose(out, embed(emb, ids).value, atol=1e-12)
@@ -187,11 +199,11 @@ def test_exact_kron_model_rejects_generic_weights():
 
 def test_init_student_reports_residuals():
     teacher = build_dense_model(TOY, make_rng(12))
-    student, residuals = init_student_from_teacher(teacher, PLAN, rng=make_rng(13))
-    assert set(residuals) == {"embedding"} | {
-        f"layer.{i}.{k}" for i in range(TOY.layers)
+    student, results = init_student_from_teacher(teacher, PLAN, rng=make_rng(13))
+    assert set(results) == {"embedding.dense"} | {
+        f"layer.{i}.{k}.dense" for i in range(TOY.layers)
         for k in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2")}
-    assert all(r >= 0 for r in residuals.values())
+    assert all(r.residual >= 0 for r in results.values())
     # copied pieces are verbatim but independent
     assert np.array_equal(student.position.value, teacher.position.value)
     student.position.value[0, 0] += 1.0

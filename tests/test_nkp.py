@@ -3,9 +3,9 @@ import pytest
 
 from kronekit.kron import FactorShape, KronFactorPair, kron_product
 from kronekit.nkp import nearest_kronecker, rearrange
-from kronekit.tensor import ShapeError, make_rng, vec
+from kronekit.tensor import ShapeError, make_rng
 
-from oracles import dominant_sigma_oracle
+from oracles import dominant_sigma_oracle, vec
 
 
 def test_rearrange_is_an_isometry():

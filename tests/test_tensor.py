@@ -3,9 +3,9 @@ import pytest
 
 from kronekit.tensor import (BadMagicError, NamedTensorStore, ShapeError,
                              TruncatedFileError, UnsupportedVersionError,
-                             StoreError, make_rng, matmul, reshape_vec, vec)
+                             StoreError, make_rng)
 
-from oracles import matmul_oracle
+from oracles import reshape_vec, vec
 
 
 def test_make_rng_deterministic():
@@ -14,6 +14,8 @@ def test_make_rng_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(8).standard_normal(16))
 
+
+# ----------------------- column stacking: the vec/reshape_vec of tests/oracles.py
 
 def test_vec_hand_example():
     m = np.array([[1.0, 3.0], [2.0, 4.0]])
@@ -43,20 +45,6 @@ def test_vec_reshape_round_trip():
 def test_reshape_vec_size_mismatch():
     with pytest.raises(ShapeError):
         reshape_vec(np.zeros(5), 2, 3)
-
-
-def test_matmul_against_loop_oracle():
-    rng = make_rng(2)
-    for _ in range(10):
-        p, q, r = rng.integers(1, 8, size=3)
-        a = rng.standard_normal((p, q))
-        b = rng.standard_normal((q, r))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-
-def test_matmul_dimension_check():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 # ------------------------------------------------------------------ KTS1 I/O
