@@ -1,18 +1,22 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Covers exactly the operations the toy Transformer and the distillation
-losses need: broadcast add/mul, batched matmul, the Kronecker-factored
-linear map ``kron_apply``, reshape, transpose and axis ``permute``, gather,
+losses need: broadcast add/mul, batched matmul, the fused linear map
+``linear`` (a dense W or a Kronecker pair (A, B), with its bias, residual,
+scale and GELU in one node), reshape, transpose and axis ``permute``, gather,
 concat, erf-GELU, row softmax, layernorm, reductions, and cross-entropy.
 Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
 inference: each intermediate is freed as soon as nothing refers to it.
 
-GELU, softmax and layernorm work in place on the arrays they allocate
-themselves (never on an input), with the same operations in the same order
-as the textbook formula, so their values do not depend on whether a graph is
-recorded. GELU also reuses its buffer for the output when no graph is kept.
+``linear``, GELU, softmax and layernorm work in place on the arrays they
+allocate themselves (never on an input), with the same operations in the
+same order as the separate textbook ops, so their values do not depend on
+whether a graph is recorded. ``linear`` adds its residual and bias, scales
+and applies GELU in the kernel's fresh output. When no graph is kept, GELU
+runs in place over fixed blocks, and GELU and layernorm return their own
+buffer as the output.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from . import kron
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_GELU_BLOCK = 1 << 17  # elements (1 MiB of float64) per in-place GELU block
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -183,27 +188,6 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor(table.value[ids], parents=(table,), backward=backward)
 
 
-def kron_apply(x: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """``x @ (A (x) B)^T`` over the last axis as one node (``kron.kron_apply``)."""
-    xv, av, bv = x.value, a.value, b.value
-    (m1, n1), (m2, n2) = av.shape, bv.shape
-
-    def backward(g):
-        if x.requires_grad:  # g @ (A (x) B) = g @ (A^T (x) B^T)^T
-            x._accumulate(kron.kron_apply(av.T, bv.T, g))
-        if a.requires_grad or b.requires_grad:
-            # dA = sum_t G_t B X_t^T and dB = sum_t G_t^T A X_t, with G_t in
-            # m1 x m2 and X_t in n1 x n2 laid out so that t joins a GEMM axis
-            t = g.size // (m1 * m2)
-            gi = g.reshape(t, m1, m2).swapaxes(0, 1).reshape(m1 * t, m2)
-            xk = xv.reshape(t, n1, n2).swapaxes(0, 1).reshape(n1, t * n2)
-            if a.requires_grad:
-                a._accumulate((gi @ bv).reshape(m1, t * n2) @ xk.T)
-            if b.requires_grad:
-                b._accumulate(gi.T @ (av @ xk).reshape(m1 * t, n2))
-    return Tensor(kron.kron_apply(av, bv, xv), parents=(x, a, b), backward=backward)
-
-
 def concat_last(parts: list[Tensor]) -> Tensor:
     sizes = [p.value.shape[-1] for p in parts]
 
@@ -217,21 +201,111 @@ def concat_last(parts: list[Tensor]) -> Tensor:
                   backward=backward)
 
 
+def _gelu_cdf(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Phi(v) = 0.5 (1 + erf(v / sqrt(2))), written into ``out``."""
+    np.multiply(v, _INV_SQRT2, out=out)
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _gelu_in_place(v: np.ndarray) -> None:
+    """v <- v Phi(v) block by block, so the only scratch array is one block.
+
+    ``v`` must be C-contiguous: it is written through a flat view."""
+    flat = v.reshape(-1)
+    buf = np.empty(min(flat.size, _GELU_BLOCK))
+    for lo in range(0, flat.size, _GELU_BLOCK):
+        block = flat[lo:lo + _GELU_BLOCK]
+        block *= _gelu_cdf(block, buf[:block.size])
+
+
+def _gelu_grad(g: np.ndarray, v: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
+    return g * (cdf + v * pdf)
+
+
 def gelu(x: Tensor) -> Tensor:
     """erf-based GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     v = x.value
-    cdf = np.multiply(v, _INV_SQRT2)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    if not x.requires_grad:  # no graph to keep cdf for: it becomes the output
-        cdf *= v
-        return Tensor(cdf)
+    if not x.requires_grad:  # no graph to keep the cdf for
+        out = v.copy()
+        _gelu_in_place(out)
+        return Tensor(out)
+    cdf = _gelu_cdf(v, np.empty_like(v))
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
-        x._accumulate(g * (cdf + v * pdf))
+        x._accumulate(_gelu_grad(g, v, cdf))
     return Tensor(v * cdf, parents=(x,), backward=backward)
+
+
+def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor, *,
+           residual: Tensor | None = None, scale: float | None = None,
+           gelu: bool = False) -> Tensor:
+    """``act(scale * (x @ W^T + residual + bias))`` over the last axis, one node.
+
+    ``weight`` is a dense W (out x in) or a pair (A, B) standing for
+    W = A (x) B, applied by ``kron.kron_apply`` without forming W. The
+    residual, bias, scale and GELU (``act``) are applied in that order in
+    place on the product's fresh array, so each value equals that of the
+    separate ops. The backward runs the kernel on the transposed factors.
+    """
+    xv = x.value
+    if isinstance(weight, Tensor):
+        factors = (weight,)
+        out = xv @ weight.value.T
+    else:
+        factors = tuple(weight)
+        out = kron.kron_apply(factors[0].value, factors[1].value, xv)
+    if residual is not None:
+        out += residual.value
+    out += bias.value
+    if scale is not None:
+        out *= scale
+    # the backward explores x's subgraph before the residual's, as it does
+    # for ``residual + x @ W^T``, so grads accumulate in the same order
+    parents = ((residual,) if residual is not None else ()) + (x, *factors, bias)
+    if gelu and not any(p.requires_grad for p in parents):
+        _gelu_in_place(out)  # no graph to keep the pre-activation for
+        return Tensor(out)
+    if gelu:
+        pre, cdf = out, _gelu_cdf(out, np.empty_like(out))
+        out = pre * cdf
+
+    def backward(g):
+        if gelu:
+            g = _gelu_grad(g, pre, cdf)
+        if scale is not None:
+            g = g * scale
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(_unbroadcast(g, residual.value.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.value.shape))
+        if len(factors) == 1:
+            w = factors[0]
+            if x.requires_grad:
+                x._accumulate(g @ w.value)
+            if w.requires_grad:  # dW = (sum over the batch of X^T G)^T
+                xtg = np.swapaxes(xv, -1, -2) @ g
+                w._accumulate(np.swapaxes(_unbroadcast(xtg, w.value.shape[::-1]), -1, -2))
+            return
+        a, b = factors
+        av, bv = a.value, b.value
+        (m1, n1), (m2, n2) = av.shape, bv.shape
+        if x.requires_grad:  # g @ (A (x) B) = g @ (A^T (x) B^T)^T
+            x._accumulate(kron.kron_apply(av.T, bv.T, g))
+        if a.requires_grad or b.requires_grad:
+            # dA = sum_t G_t B X_t^T and dB = sum_t G_t^T A X_t, with G_t in
+            # m1 x m2 and X_t in n1 x n2 laid out so that t joins a GEMM axis
+            t = g.size // (m1 * m2)
+            gi = g.reshape(t, m1, m2).swapaxes(0, 1).reshape(m1 * t, m2)
+            xk = xv.reshape(t, n1, n2).swapaxes(0, 1).reshape(n1, t * n2)
+            if a.requires_grad:
+                a._accumulate((gi @ bv).reshape(m1, t * n2) @ xk.T)
+            if b.requires_grad:
+                b._accumulate(gi.T @ (av @ xk).reshape(m1 * t, n2))
+    return Tensor(out, parents=parents, backward=backward)
 
 
 def softmax_last(x: Tensor) -> Tensor:
@@ -266,6 +340,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
+    if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
+        xhat *= gamma.value  # no graph to keep xhat for: it becomes the output
+        xhat += beta.value
+        return Tensor(xhat)
     out = xhat * gamma.value
     out += beta.value
 

@@ -78,6 +78,9 @@ def cmd_plan(args) -> int:
     if (args.ratio is None) == (args.shapes is None):
         print("plan: provide exactly one of --ratio or --shapes", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.ratio is not None and not args.ratio > 1:  # NaN fails the test too
+        print(f"plan: --ratio must exceed 1, got {args.ratio:g}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         if args.shapes is not None:
             plan = _load_plan(args.shapes, arch)
@@ -158,6 +161,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.iters < 1:
+        print(f"bench: --iters must be positive, got {args.iters}", file=sys.stderr)
+        return EXIT_VALIDATION
     arch = ArchSpec.load(args.arch)
     plan = _load_plan(args.plan, arch)
     rng = make_rng(_seed_from(args))

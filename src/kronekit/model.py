@@ -36,8 +36,9 @@ from .tensor import NamedTensorStore, ShapeError
 class DenseWeight:
     w: Tensor  # out x in
 
-    def apply(self, x: Tensor) -> Tensor:
-        return x @ self.w.transpose_last()
+    def apply(self, x: Tensor, bias: Tensor, **epilogue) -> Tensor:
+        """``x @ W^T + bias`` and its epilogue (``ad.linear``) as one node."""
+        return ad.linear(x, self.w, bias, **epilogue)
 
     def named(self, prefix: str):
         yield f"{prefix}.dense", self.w
@@ -52,9 +53,10 @@ class KronWeight:
     def shape(self) -> FactorShape:
         return FactorShape(self.a.shape[0], self.a.shape[1], self.b.shape[0], self.b.shape[1])
 
-    def apply(self, x: Tensor) -> Tensor:
-        """Reconstruction-free application to row vectors in the last axis."""
-        return ad.kron_apply(x, self.a, self.b)
+    def apply(self, x: Tensor, bias: Tensor, **epilogue) -> Tensor:
+        """Reconstruction-free ``x @ (A (x) B)^T + bias`` over the last axis,
+        with its epilogue (``ad.linear``), as one node."""
+        return ad.linear(x, (self.a, self.b), bias, **epilogue)
 
     def named(self, prefix: str):
         yield f"{prefix}.a", self.a
@@ -197,21 +199,21 @@ def attention_forward(w: AttentionWeights, x: Tensor, heads: int) -> tuple[Tenso
     if d % heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {heads} heads")
     dk = d // heads
-    q = (w.wq.apply(x) + w.bq) * (1.0 / np.sqrt(dk))
-    k = w.wk.apply(x) + w.bk
-    v = w.wv.apply(x) + w.bv
+    q = w.wq.apply(x, w.bq, scale=1.0 / np.sqrt(dk))
+    k = w.wk.apply(x, w.bk)
+    v = w.wv.apply(x, w.bv)
     q = q.reshape(b, s, heads, dk).permute(0, 2, 1, 3)    # (b, h, s, dk)
     kt = k.reshape(b, s, heads, dk).permute(0, 2, 3, 1)   # (b, h, dk, s)
     v = v.reshape(b, s, heads, dk).permute(0, 2, 1, 3)
     scores = q @ kt
     ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
-    return w.wo.apply(ctx) + w.bo, scores
+    return w.wo.apply(ctx, w.bo), scores
 
 
 def ffn_forward(w: FfnWeights, x: Tensor, ln_gamma: Tensor, ln_beta: Tensor) -> Tensor:
     """Position-wise FFN with residual and post-LN."""
-    h = ad.gelu(w.w1.apply(x) + w.b1)
-    return ad.layer_norm(x + w.w2.apply(h) + w.b2, ln_gamma, ln_beta)
+    h = w.w1.apply(x, w.b1, gelu=True)
+    return ad.layer_norm(w.w2.apply(h, w.b2, residual=x), ln_gamma, ln_beta)
 
 
 def forward(model: TransformerModel, token_ids,
@@ -244,7 +246,7 @@ def forward(model: TransformerModel, token_ids,
         x = ffn_forward(lay.ffn, x, lay.ln2_gamma, lay.ln2_beta)
         trace.ffn_out.append(x)
     pooled = x.mean(axis=1)                      # (batch, d)
-    trace.logits = pooled @ model.head_w.transpose_last() + model.head_b
+    trace.logits = ad.linear(pooled, model.head_w, model.head_b)
     return trace
 
 

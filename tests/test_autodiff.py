@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronekit import autodiff as ad
+from kronekit.kron import FactorShape, choose_order, kron_apply
 from kronekit.tensor import make_rng
 
 
@@ -110,20 +111,53 @@ def test_layer_norm_grads():
     fd_check(build, [x, gamma, beta], rng)
 
 
-@pytest.mark.parametrize("dims", [(3, 2, 2, 4), (2, 4, 3, 2)])  # b_first, a_first
-def test_kron_apply_grads(dims):
-    m1, n1, m2, n2 = dims
+# weight kind -> (x width, weight shapes, output width)
+LINEAR_WEIGHTS = {
+    "dense": (5, [(4, 5)], 4),
+    "kron_b_first": (8, [(3, 2), (2, 4)], 6),
+    "kron_a_first": (8, [(2, 4), (3, 2)], 6),
+}
+
+
+@pytest.mark.parametrize("epilogue", ["bias", "residual", "scale", "gelu"])
+@pytest.mark.parametrize("kind", sorted(LINEAR_WEIGHTS))
+def test_linear_grads(kind, epilogue):
+    width, shapes, out = LINEAR_WEIGHTS[kind]
+    if kind != "dense":  # the kernel picks the association order from the shapes
+        (m1, n1), (m2, n2) = shapes
+        assert choose_order(FactorShape(m1, n1, m2, n2)) == kind[len("kron_"):]
     rng = make_rng(9)
-    x = ad.parameter(rng.standard_normal((2, 3, n1 * n2)))
-    a = ad.parameter(rng.standard_normal((m1, n1)))
-    b = ad.parameter(rng.standard_normal((m2, n2)))
-    c = ad.Tensor(rng.standard_normal((2, 3, m1 * m2)))
+    x = ad.parameter(rng.standard_normal((2, 3, width)))
+    ws = [ad.parameter(rng.standard_normal(s)) for s in shapes]
+    bias = ad.parameter(rng.standard_normal(out))
+    residual = ad.parameter(rng.standard_normal((2, 3, out)))
+    kwargs = {"bias": {}, "residual": {"residual": residual}, "scale": {"scale": 0.37},
+              "gelu": {"gelu": True}}[epilogue]
+    params = [x, *ws, bias] + ([residual] if epilogue == "residual" else [])
+    c = ad.Tensor(rng.standard_normal((2, 3, out)))
+    weight = ws[0] if kind == "dense" else tuple(ws)
 
     def build():
-        y = ad.kron_apply(x, a, b)
+        y = ad.linear(x, weight, bias, **kwargs)
         return (y * y * 0.5 + y * c).mean()
 
-    fd_check(build, [x, a, b], rng, samples=24)
+    fd_check(build, params, rng, samples=24)
+    # one node, with or without a graph, whose value equals the separate
+    # ops it fuses, bit for bit
+    wv = [w.value for w in ws]
+    want = ad.Tensor(x.value @ wv[0].T if kind == "dense" else kron_apply(*wv, x.value))
+    if epilogue == "residual":
+        want = ad.Tensor(residual.value) + want
+    want = want + ad.Tensor(bias.value)
+    if epilogue == "scale":
+        want = want * kwargs["scale"]
+    if epilogue == "gelu":
+        want = ad.gelu(want)
+    frozen = {k: ad.Tensor(v.value) if isinstance(v, ad.Tensor) else v for k, v in kwargs.items()}
+    frozen_weight = ad.Tensor(wv[0]) if kind == "dense" else tuple(map(ad.Tensor, wv))
+    assert np.array_equal(ad.linear(x, weight, bias, **kwargs).value, want.value)
+    assert np.array_equal(ad.linear(ad.Tensor(x.value), frozen_weight, ad.Tensor(bias.value),
+                                    **frozen).value, want.value)
 
 
 def test_loss_grads():
@@ -180,7 +214,9 @@ GRAPH_OPS = {
     "sum": (lambda x: x.sum(), [(2, 3)]),
     "gather_rows": (lambda t: ad.gather_rows(t, np.array([0, 2, 2])), [(4, 3)]),
     "concat_last": (lambda x, y: ad.concat_last([x, y]), [(2, 3), (2, 1)]),
-    "kron_apply": (ad.kron_apply, [(2, 6), (2, 3), (4, 2)]),
+    "linear": (lambda x, a, b, c, r: ad.linear(x, (a, b), c, residual=r, gelu=True),
+               [(2, 6), (2, 3), (4, 2), (8,), (2, 8)]),
+    "linear_dense": (lambda x, w, c: ad.linear(x, w, c, scale=0.5), [(2, 3), (4, 3), (4,)]),
     "gelu": (ad.gelu, [(2, 3)]),
     "softmax_last": (ad.softmax_last, [(2, 3)]),
     "log_softmax_last": (ad.log_softmax_last, [(2, 3)]),

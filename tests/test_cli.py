@@ -49,6 +49,12 @@ def test_plan_ratio_and_infeasible(capsys):
     assert main(["plan", TOY_ARCH, "--ratio", "4", "--shapes", TOY_SHAPES]) == 2
 
 
+@pytest.mark.parametrize("ratio", ["1", "0.5", "-3", "nan"])
+def test_plan_ratio_not_above_one_is_validation_error(ratio, capsys):
+    assert main(["plan", TOY_ARCH, "--ratio", ratio]) == 2
+    assert "--ratio" in capsys.readouterr().err
+
+
 def test_plan_missing_config_is_validation_error():
     assert main(["plan", "/nonexistent/arch.json", "--ratio", "2"]) == 2
 
@@ -208,6 +214,12 @@ def test_bench_runs(capsys):
                  "--seq-len", "4", "--dtype", "f32"]) == 0
     out = capsys.readouterr().out
     assert "dense" in out and "kron" in out and "median_ms" in out
+
+
+@pytest.mark.parametrize("iters", ["0", "-2"])
+def test_bench_non_positive_iters_is_validation_error(iters, capsys):
+    assert main(["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--iters", iters]) == 2
+    assert "--iters" in capsys.readouterr().err
 
 
 def test_distill_refuses_large_arch(capsys):

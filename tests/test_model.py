@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,9 @@ def test_kron_weight_apply_matches_reconstruction():
     b = rng.standard_normal((2, 5))
     kw = KronWeight(ad.parameter(a), ad.parameter(b))
     x = ad.Tensor(rng.standard_normal((2, 6, 15)))
+    bias = ad.Tensor(rng.standard_normal(8))
     dense = kron_product(KronFactorPair(a, b))
-    assert np.allclose(kw.apply(x).value, x.value @ dense.T, atol=1e-11)
+    assert np.allclose(kw.apply(x, bias).value, x.value @ dense.T + bias.value, atol=1e-11)
 
 
 def test_kron_weight_apply_is_one_graph_node(monkeypatch):
@@ -139,6 +142,7 @@ def test_kron_weight_apply_is_one_graph_node(monkeypatch):
     kw = KronWeight(ad.parameter(rng.standard_normal((4, 3))),
                     ad.parameter(rng.standard_normal((2, 5))))
     x = ad.Tensor(rng.standard_normal((2, 6, 15)))
+    bias = ad.parameter(rng.standard_normal(8))
     made = []
     init = ad.Tensor.__init__
 
@@ -146,9 +150,9 @@ def test_kron_weight_apply_is_one_graph_node(monkeypatch):
         made.append(obj)
         init(obj, *args, **kwargs)
     monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
-    y = kw.apply(x)
+    y = kw.apply(x, bias, scale=0.5, gelu=True)
     assert made == [y]
-    assert y._parents == (x, kw.a, kw.b)
+    assert y._parents == (x, kw.a, kw.b, bias)
 
 
 # ------------------------------------------------------------------- forward
@@ -274,6 +278,24 @@ def test_frozen_forward_keeps_no_graph():
         frozen = forward(model.freeze(), ids)
         for a, b in zip(_trace_tensors(live), _trace_tensors(frozen), strict=True):
             assert b._parents == () and b._backward is None and not b.requires_grad
+            assert np.array_equal(a.value, b.value)
+
+
+def test_frozen_forward_bit_identical_at_bert_width():
+    # FFN1's 2 x 64 x 3072 output spans several in-place GELU blocks
+    arch = replace(ArchSpec.load(config_path("bert_base.json")), layers=1, vocab_size=512)
+    teacher = build_dense_model(arch, make_rng(23))
+    student, _ = init_student_from_teacher(teacher, make_plan(arch, (384, 384), (8, 2), 8))
+    ids = make_rng(24).integers(0, arch.vocab_size, size=(2, 64))
+    for model in (teacher, student):
+        rng = make_rng(25)
+        for t in model.parameters().values():  # nonzero biases and LN shifts
+            if t.value.ndim == 1:
+                t.value = t.value + 0.1 * rng.standard_normal(t.value.shape)
+        live = _trace_tensors(forward(model, ids))
+        frozen = _trace_tensors(forward(model.freeze(), ids))
+        for a, b in zip(live, frozen, strict=True):
+            assert a._parents and not b._parents
             assert np.array_equal(a.value, b.value)
 
 

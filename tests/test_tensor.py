@@ -133,3 +133,41 @@ def test_store_unknown_dtype_code(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(StoreError):
         NamedTensorStore.load(path)
+
+
+def test_store_load_any_bytes_loads_or_raises_store_error(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    valid = NamedTensorStore()
+    valid.add("w", make_rng(5).standard_normal((2, 3)))
+    valid.add("é", np.zeros((1, 2), dtype=np.float32))
+    good = tmp_path / "good.kts"
+    valid.save(good)
+    template = good.read_bytes()
+    path = tmp_path / "fuzz.kts"
+
+    def edit(edits, cut):
+        data = bytearray(template)
+        for pos, byte in edits:
+            data[pos] = byte
+        return bytes(data[:cut])
+
+    # random bytes after each prefix the loader checks, and valid files with
+    # a few bytes overwritten and the tail cut off
+    inputs = st.one_of(
+        st.builds(lambda head, body: head + body,
+                  st.sampled_from([b"", b"KTS", b"KTS1"]), st.binary(max_size=80)),
+        st.builds(edit, st.lists(st.tuples(st.integers(0, len(template) - 1),
+                                           st.integers(0, 255)), max_size=4),
+                  st.integers(0, len(template))))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(inputs)
+    def check(data):
+        path.write_bytes(data)
+        try:
+            NamedTensorStore.load(path)
+        except StoreError:
+            pass
+
+    check()
