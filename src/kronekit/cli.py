@@ -139,12 +139,14 @@ def cmd_verify(args) -> int:
         if not np.all(np.isfinite(m)):
             failures.append(f"{name}: non-finite entries")
     names = set(store.names())
-    for name in sorted(n for n in names if n.endswith(".a")):
-        base = name[:-2]
+    for base in sorted({n[:-2] for n in names if n.endswith((".a", ".b"))}):
         if f"{base}.b" not in names:
             failures.append(f"{base}: factor A without matching B")
             continue
-        a = np.asarray(store[name], dtype=np.float64)
+        if f"{base}.a" not in names:
+            failures.append(f"{base}: factor B without matching A")
+            continue
+        a = np.asarray(store[f"{base}.a"], dtype=np.float64)
         b = np.asarray(store[f"{base}.b"], dtype=np.float64)
         x = rng.standard_normal(a.shape[1] * b.shape[1])
         got = kron_apply(a, b, x)

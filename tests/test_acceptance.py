@@ -142,8 +142,8 @@ def test_criterion_8_embedding_cost():
     student, _ = init_student_from_teacher(teacher, TOY_PLAN, rng=rng)
     tokens = rng.integers(0, TOY.vocab_size, size=13)
     counter = FlopCounter()
-    kron_embed_oracle(student.embedding.table.value, student.embedding.row.value,
-                      tokens, counter)
+    kron_embed_oracle(student.params["embedding.table"].value,
+                      student.params["embedding.row"].value, tokens, counter)
     ok = counter.mults == len(tokens) * TOY.hidden and counter.adds == 0
     report(8, ok, f"{counter.mults} multiplies for {len(tokens)} tokens "
                   f"(= {len(tokens)} x d={TOY.hidden}), {counter.adds} adds (=0)")

@@ -164,6 +164,35 @@ def test_verify_checkpoint_not_fitting_arch_is_validation_error(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
+def test_verify_embedding_row_must_be_one_row(tmp_path, teacher_store, capsys):
+    # 32x8 (x) 2x4 multiplies out to the 64x32 embedding, but no lookup
+    # of such a pair works
+    out = tmp_path / "compressed.kts"
+    assert main(["compress", str(teacher_store), TOY_SHAPES, "--arch", TOY_ARCH,
+                 "--out", str(out)]) == 0
+    store = NamedTensorStore()
+    for name, m in NamedTensorStore.load(out).items():
+        store.add(name, {"embedding.table": np.ones((32, 8)),
+                         "embedding.row": np.ones((2, 4))}.get(name, m))
+    store.save(out)
+    capsys.readouterr()
+    assert main(["verify", str(out), "--arch", TOY_ARCH]) == 2
+    captured = capsys.readouterr()
+    assert "embedding.row is 2x4, expected a single row" in captured.err
+    assert "tensors OK" not in captured.out
+
+
+@pytest.mark.parametrize("present, message", [("a", "factor A without matching B"),
+                                              ("b", "factor B without matching A")])
+def test_verify_reports_orphan_factor(tmp_path, capsys, present, message):
+    store = NamedTensorStore()
+    store.add(f"x.{present}", np.ones((2, 2)))
+    path = tmp_path / "orphan.kts"
+    store.save(path)
+    assert main(["verify", str(path)]) == 3
+    assert f"FAIL x: {message}" in capsys.readouterr().out
+
+
 def test_verify_reports_tensors_the_arch_does_not_use(tmp_path, capsys):
     arch = ArchSpec.load(TOY_ARCH)
     path = tmp_path / "three_layers.kts"

@@ -109,13 +109,13 @@ def test_stage_masks():
 def test_pretrain_stage_freezes_head():
     teacher = build_dense_model(TOY, make_rng(7)).freeze()
     student, _ = init_student_from_teacher(teacher, PLAN, rng=make_rng(8))
-    head_before = student.head_w.value.copy()
+    head_before = student.params["head.weight"].value.copy()
     data = kd.make_synthetic_task(TOY, 16, 4, make_rng(9))
     kd.train(student, teacher, data, kd.TrainConfig(stage="pretrain_kd", steps=3, lr=0.05))
-    assert np.array_equal(student.head_w.value, head_before)
+    assert np.array_equal(student.params["head.weight"].value, head_before)
     # but the factorized weights did move
-    assert not np.array_equal(student.embedding.table.value,
-                              teacher.embedding.table.value[:, :8])
+    assert not np.array_equal(student.params["embedding.table"].value,
+                              teacher.params["embedding.dense"].value[:, :8])
 
 
 def test_train_zero_lr_is_noop():

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +8,8 @@ import pytest
 from kronekit import autodiff as ad
 from kronekit import distill as kd
 from kronekit.kron import KronFactorPair, kron_product
-from kronekit.model import (AttentionWeights, DenseEmbedding, DenseWeight,
-                            KronEmbedding, KronWeight, attention_forward,
-                            build_dense_model, embed, forward, init_student_from_teacher,
+from kronekit.model import (DenseWeight, KronWeight, attention_forward, build_dense_model,
+                            embed, forward, init_student_from_teacher, layout,
                             model_from_store, model_to_store)
 from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
@@ -27,17 +28,15 @@ def toy_exact_kron_teacher(seed=0):
     d = TOY.hidden
     emb = np.kron(rng.standard_normal((TOY.vocab_size, d // 4)) * 0.1,
                   rng.standard_normal((1, 4)))
-    teacher.embedding.table.value = emb
-    for lay in teacher.layers:
-        for wobj, shape in ((lay.attn.wq, PLAN.attention_shape),
-                            (lay.attn.wk, PLAN.attention_shape),
-                            (lay.attn.wv, PLAN.attention_shape),
-                            (lay.attn.wo, PLAN.attention_shape),
-                            (lay.ffn.w1, PLAN.ffn1_shape),
-                            (lay.ffn.w2, PLAN.ffn2_shape)):
+    teacher.params["embedding.dense"].value = emb
+    shapes = {"attention": PLAN.attention_shape, "ffn1": PLAN.ffn1_shape,
+              "ffn2": PLAN.ffn2_shape}
+    for slot, _, _, group in layout(TOY):
+        if group in shapes:
+            shape = shapes[group]
             a = rng.standard_normal((shape.m1, shape.n1)) / np.sqrt(shape.n1)
             b = rng.standard_normal((shape.m2, shape.n2)) / np.sqrt(shape.n2)
-            wobj.w.value = np.kron(a, b)
+            teacher.params[f"{slot}.dense"].value = np.kron(a, b)
     return teacher
 
 
@@ -56,8 +55,7 @@ def exact_kron_model(teacher, plan):
 # ---------------------------------------------------------------- embeddings
 
 def test_kron_embedding_hand_example():
-    emb = KronEmbedding(table=ad.parameter([[2.0], [3.0]]),
-                        row=ad.parameter([[1.0, 10.0]]))
+    emb = KronWeight(ad.parameter([[2.0], [3.0]]), ad.parameter([[1.0, 10.0]]))
     out = embed(emb, np.array([0, 1]))
     assert np.array_equal(out.value, [[2.0, 20.0], [3.0, 30.0]])
 
@@ -66,15 +64,15 @@ def test_kron_embedding_matches_dense_reconstruction():
     rng = make_rng(0)
     table = rng.standard_normal((10, 3))
     row = rng.standard_normal((1, 4))
-    kron = KronEmbedding(ad.parameter(table), ad.parameter(row))
-    dense = DenseEmbedding(ad.parameter(np.kron(table, row)))
+    kron = KronWeight(ad.parameter(table), ad.parameter(row))
+    dense = DenseWeight(ad.parameter(np.kron(table, row)))
     ids = rng.integers(0, 10, size=(2, 5))
     assert np.allclose(embed(kron, ids).value, embed(dense, ids).value, atol=1e-12)
 
 
 def test_embed_out_of_range():
-    dense = DenseEmbedding(ad.parameter(np.zeros((4, 2))))
-    kron = KronEmbedding(ad.parameter(np.zeros((4, 1))), ad.parameter(np.ones((1, 2))))
+    dense = DenseWeight(ad.parameter(np.zeros((4, 2))))
+    kron = KronWeight(ad.parameter(np.zeros((4, 1))), ad.parameter(np.ones((1, 2))))
     for emb in (dense, kron):
         for bad in (-1, 4):  # -1 must not wrap round to the last vocab row
             with pytest.raises(IndexError, match=f"token id {bad} out of range"):
@@ -83,11 +81,11 @@ def test_embed_out_of_range():
 
 def test_embed_counted_exact_cost_and_values():
     rng = make_rng(1)
-    emb = KronEmbedding(ad.parameter(rng.standard_normal((10, 3))),
-                        ad.parameter(rng.standard_normal((1, 4))))
+    emb = KronWeight(ad.parameter(rng.standard_normal((10, 3))),
+                     ad.parameter(rng.standard_normal((1, 4))))
     ids = rng.integers(0, 10, size=7)
     counter = FlopCounter()
-    out = kron_embed_oracle(emb.table.value, emb.row.value, ids, counter)
+    out = kron_embed_oracle(emb.a.value, emb.b.value, ids, counter)
     assert counter.mults == 7 * 12  # exactly d multiplies per token
     assert counter.adds == 0
     assert np.allclose(out, embed(emb, ids).value, atol=1e-12)
@@ -98,22 +96,19 @@ def test_embed_counted_exact_cost_and_values():
 def test_attention_forward_matches_manual_numpy():
     rng = make_rng(2)
     d, heads, s = 4, 2, 3
-    w = AttentionWeights(
-        wq=DenseWeight(ad.parameter(rng.standard_normal((d, d)))),
-        wk=DenseWeight(ad.parameter(rng.standard_normal((d, d)))),
-        wv=DenseWeight(ad.parameter(rng.standard_normal((d, d)))),
-        wo=DenseWeight(ad.parameter(rng.standard_normal((d, d)))),
-        bq=ad.parameter(rng.standard_normal(d)), bk=ad.parameter(rng.standard_normal(d)),
-        bv=ad.parameter(rng.standard_normal(d)), bo=ad.parameter(rng.standard_normal(d)))
+    w = {f"attn.{k}.dense": ad.parameter(rng.standard_normal((d, d)))
+         for k in ("wq", "wk", "wv", "wo")}
+    w |= {f"attn.{k}": ad.parameter(rng.standard_normal(d)) for k in ("bq", "bk", "bv", "bo")}
+    val = {name: t.value for name, t in w.items()}
     x = ad.Tensor(rng.standard_normal((1, s, d)))
-    a, o_stack = attention_forward(w, x, heads)
+    a, o_stack = attention_forward(w, "attn", x, heads)
     assert a.shape == (1, s, d)
     assert o_stack.shape == (1, heads, s, s)
 
     xv = x.value[0]
-    q = xv @ w.wq.w.value.T + w.bq.value
-    k = xv @ w.wk.w.value.T + w.bk.value
-    v = xv @ w.wv.w.value.T + w.bv.value
+    q = xv @ val["attn.wq.dense"].T + val["attn.bq"]
+    k = xv @ val["attn.wk.dense"].T + val["attn.bk"]
+    v = xv @ val["attn.wv.dense"].T + val["attn.bv"]
     dk = d // heads
     ctx = []
     for h in range(heads):
@@ -122,7 +117,7 @@ def test_attention_forward_matches_manual_numpy():
         assert np.allclose(o_stack.value[0, h], scores, atol=1e-12)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         ctx.append((e / e.sum(axis=-1, keepdims=True)) @ v[:, sl])
-    want = np.concatenate(ctx, axis=-1) @ w.wo.w.value.T + w.bo.value
+    want = np.concatenate(ctx, axis=-1) @ val["attn.wo.dense"].T + val["attn.bo"]
     assert np.allclose(a.value[0], want, atol=1e-12)
 
 
@@ -169,18 +164,6 @@ def test_forward_validation():
     model = build_dense_model(TOY, make_rng(5))
     with pytest.raises(ShapeError):
         forward(model, np.zeros((2, TOY.max_seq_len + 1), dtype=int))
-    with pytest.raises(ValueError):
-        forward(model, np.array([1, 2]), attention_feature="everything")
-
-
-def test_forward_attention_feature_switch():
-    model = build_dense_model(TOY, make_rng(6))
-    ids = make_rng(7).integers(0, TOY.vocab_size, size=(2, 5))
-    sub = forward(model, ids)
-    raw = forward(model, ids, attention_feature="projection_output")
-    assert not np.allclose(sub.attn_out[0].value, raw.attn_out[0].value)
-    assert np.allclose(sub.ffn_out[-1].value, raw.ffn_out[-1].value, atol=1e-14)
-    assert np.allclose(sub.logits.value, raw.logits.value, atol=1e-14)
 
 
 def test_forward_dense_vs_exact_kron():
@@ -209,9 +192,10 @@ def test_init_student_reports_residuals():
         for k in ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "ffn.w1", "ffn.w2")}
     assert all(r.residual >= 0 for r in results.values())
     # copied pieces are verbatim but independent
-    assert np.array_equal(student.position.value, teacher.position.value)
-    student.position.value[0, 0] += 1.0
-    assert not np.array_equal(student.position.value, teacher.position.value)
+    position = "embedding.position"
+    assert np.array_equal(student.params[position].value, teacher.params[position].value)
+    student.params[position].value[0, 0] += 1.0
+    assert not np.array_equal(student.params[position].value, teacher.params[position].value)
 
 
 def test_build_dense_model_deterministic():
@@ -235,30 +219,56 @@ def test_model_store_round_trip(tmp_path):
                            forward(loaded, ids).logits.value, atol=1e-14)
 
 
-def test_model_from_store_missing_tensor(tmp_path):
-    store = model_to_store(build_dense_model(TOY, make_rng(18)))
-    broken = NamedTensorStore()
-    for name, m in store.items():
-        if name != "head.weight":
-            broken.add(name, m)
-    with pytest.raises(KeyError):
-        model_from_store(broken, TOY)
+def _toy_stores():
+    """Checkpoints of the toy dense teacher and of its Kronecker student."""
+    teacher = build_dense_model(TOY, make_rng(18))
+    student, _ = init_student_from_teacher(teacher, PLAN)
+    return model_to_store(teacher), model_to_store(student)
+
+
+def _edited(store, name, bad=None):
+    """``store`` with tensor ``name`` dropped, or replaced by ``bad``."""
+    out = NamedTensorStore()
+    for n, m in store.items():
+        if n != name:
+            out.add(n, m)
+        elif bad is not None:
+            out.add(n, bad)
+    return out
+
+
+def test_model_from_store_missing_tensor():
+    for store in _toy_stores():
+        for name in store.names():
+            with pytest.raises(KeyError, match=re.escape(repr(name))):
+                model_from_store(_edited(store, name), TOY)
 
 
 def test_model_from_store_checks_shapes():
-    teacher = build_dense_model(TOY, make_rng(18))
-    student, _ = init_student_from_teacher(teacher, PLAN)
-    dense, kron = model_to_store(teacher), model_to_store(student)
-    for store, name, bad in ((dense, "layer.1.ffn.w1.dense", np.zeros((64, 31))),
-                             (dense, "embedding.position", np.zeros((16, 33))),
-                             (dense, "head.bias", np.zeros((1, 3))),
-                             (kron, "layer.0.attn.wo.b", np.zeros((2, 3))),
-                             (kron, "embedding.row", np.zeros((2, 4)))):
-        broken = NamedTensorStore()
-        for n, m in store.items():
-            broken.add(n, bad if n == name else m)
-        with pytest.raises(ShapeError, match=name):
-            model_from_store(broken, TOY)
+    dense, kron = _toy_stores()
+    cases = [(dense, "layer.1.ffn.w1.dense", np.zeros((64, 31))),
+             (dense, "embedding.position", np.zeros((16, 33))),
+             (dense, "head.bias", np.zeros((1, 3))),
+             (kron, "layer.0.attn.wo.b", np.zeros((2, 3))),
+             (kron, "embedding.row", np.zeros((2, 4)))]
+    cases += [(store, name, np.zeros((m.shape[0], m.shape[1] + 1)))
+              for store in (dense, kron) for name, m in store.items()]
+    for store, name, bad in cases:
+        with pytest.raises(ShapeError, match=re.escape(name)):
+            model_from_store(_edited(store, name, bad), TOY)
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # layout() fixes both the RNG draw order of build_dense_model and the
+    # checkpoint order; criterion 10 depends on the exact teacher draw
+    teacher = build_dense_model(TOY, np.random.default_rng(0))
+    student, _ = init_student_from_teacher(teacher, PLAN)  # PLAN is configs/toy_shapes.json
+    for model, want in (
+            (teacher, "59f70725a32c232ef7a35e8031521d87e9c9d8c54a9ed131a17c0bcd4faf1633"),
+            (student, "660890a86654041b662564b945492997e1de42829f11f614f0562f641fd8ebd6")):
+        path = tmp_path / "model.kts"
+        model_to_store(model).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
 # ------------------------------------------------------------ frozen forward
