@@ -8,7 +8,9 @@ concat, erf-GELU, row softmax, layernorm, reductions, and cross-entropy.
 Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
-inference: each intermediate is freed as soon as nothing refers to it.
+inference: each intermediate is freed as soon as nothing refers to it, and
+the model's forward then holds only its trace plus one block (the graph
+path is unchanged).
 
 ``linear``, GELU, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import distill as kd
 from .kron import FactorShape, kron_apply, kron_flops
-from .model import build_dense_model, init_student_from_teacher, model_from_store, model_to_store
+from .model import (build_dense_model, factor_names, init_student_from_teacher, model_from_store,
+                    model_to_store)
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, count_flops,
                       count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
@@ -139,15 +140,23 @@ def cmd_verify(args) -> int:
         if not np.all(np.isfinite(m)):
             failures.append(f"{name}: non-finite entries")
     names = set(store.names())
-    for base in sorted({n[:-2] for n in names if n.endswith((".a", ".b"))}):
-        if f"{base}.b" not in names:
-            failures.append(f"{base}: factor A without matching B")
+    bases = {n[:-2] for n in names if n.endswith((".a", ".b"))}
+    if names & set(factor_names("embedding")):
+        bases.add("embedding")
+    for base in sorted(bases):
+        a_name, b_name = factor_names(base)
+        if b_name not in names:
+            failures.append(f"{base}: factor A without matching B ({b_name} missing)")
             continue
-        if f"{base}.a" not in names:
-            failures.append(f"{base}: factor B without matching A")
+        if a_name not in names:
+            failures.append(f"{base}: factor B without matching A ({a_name} missing)")
             continue
-        a = np.asarray(store[f"{base}.a"], dtype=np.float64)
-        b = np.asarray(store[f"{base}.b"], dtype=np.float64)
+        a = np.asarray(store[a_name], dtype=np.float64)
+        b = np.asarray(store[b_name], dtype=np.float64)
+        if base == "embedding":  # applied by row lookup, not as a matvec
+            if b.shape[0] != 1:
+                failures.append(f"{b_name} is {b.shape[0]}x{b.shape[1]}, expected a single row")
+            continue
         x = rng.standard_normal(a.shape[1] * b.shape[1])
         got = kron_apply(a, b, x)
         want = np.kron(a, b) @ x

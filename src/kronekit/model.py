@@ -5,6 +5,12 @@ line up tensor-for-tensor between a teacher and its compressed student.
 Layout is post-LN: sublayer output = LN(x + f(x)). Forward always runs
 batched; single sequences become a batch of one.
 
+A forward that records a graph keeps what the backward needs. A forward with
+no graph (a frozen model) frees each activation at its last use and holds
+only the trace plus one block: the FFN runs over blocks of token rows and
+softmax @ V over blocks of score slices, with values bit-identical to the
+unblocked pass.
+
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. :func:`layout` is the one definition of that
 naming and order; construction, loading, saving and the forward pass all
@@ -24,6 +30,9 @@ from .nkp import NkpResult, nearest_kronecker
 from .planner import ArchSpec, CompressionPlan
 from .tensor import NamedTensorStore, ShapeError
 
+# With no graph to record, the forward holds at most one block of these:
+_ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per softmax @ V block
+_FFN_BLOCK = 1 << 19        # FFN hidden elements (4 MiB of float64) per row block
 
 # ------------------------------------------------------------------- layout
 
@@ -151,6 +160,12 @@ def embed(embedding: DenseWeight | KronWeight, token_ids: np.ndarray) -> Tensor:
     return tiles.reshape(*ids.shape, k * n)
 
 
+def _records_graph(params: dict[str, Tensor], prefix: str, x: Tensor) -> bool:
+    """Whether the ``{prefix}.*`` sublayer applied to ``x`` records a graph."""
+    return x.requires_grad or any(t.requires_grad for name, t in params.items()
+                                  if name.startswith(f"{prefix}."))
+
+
 def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
                       heads: int) -> tuple[Tensor, Tensor]:
     """Multi-head attention body of the ``{prefix}.*`` tensors: returns
@@ -160,27 +175,74 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     All heads run as one batch over (batch, heads, seq, d_k) views of Q, K
     and V. Q is scaled by 1/sqrt(d_k) before the scores matmul; for a d_k
     that is a power of four (16, 64) that equals scaling the scores, exactly.
+    Q and K are dropped once the scores exist, V once the context does. With
+    no graph to record, the context is built by :func:`_attention_context`.
     """
     b, s, d = x.shape
     if d % heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {heads} heads")
     dk = d // heads
-    q = weight(params, f"{prefix}.wq").apply(x, params[f"{prefix}.bq"], scale=1.0 / np.sqrt(dk))
-    k = weight(params, f"{prefix}.wk").apply(x, params[f"{prefix}.bk"])
-    v = weight(params, f"{prefix}.wv").apply(x, params[f"{prefix}.bv"])
-    q = q.reshape(b, s, heads, dk).permute(0, 2, 1, 3)    # (b, h, s, dk)
-    kt = k.reshape(b, s, heads, dk).permute(0, 2, 3, 1)   # (b, h, dk, s)
-    v = v.reshape(b, s, heads, dk).permute(0, 2, 1, 3)
-    scores = q @ kt
-    ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
+
+    def project(w: str, **epilogue) -> Tensor:  # (b, s, heads, dk)
+        out = weight(params, f"{prefix}.w{w}").apply(x, params[f"{prefix}.b{w}"], **epilogue)
+        return out.reshape(b, s, heads, dk)
+
+    scores = (project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)   # (b, h, s, dk)
+              @ project("k").permute(0, 2, 3, 1))                         # (b, h, dk, s)
+    v = project("v").permute(0, 2, 1, 3)
+    if _records_graph(params, prefix, x):
+        ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
+    else:
+        ctx = _attention_context(scores.value, v.value)
+    del v
     return weight(params, f"{prefix}.wo").apply(ctx, params[f"{prefix}.bo"]), scores
 
 
+def _attention_context(scores: np.ndarray, v: np.ndarray) -> Tensor:
+    """softmax(scores) @ v as a (b, s, h * dk) tensor with no graph.
+
+    Runs over blocks of whole (seq x seq) score slices, one batch row's
+    heads at a time or several whole batch rows, so only one block of
+    probabilities exists at once. Each block's product is written through a
+    (b, h, s, dk) view of the (b, s, h, dk) output, so no permuted copy is
+    made; every slice is the same GEMM as in the unblocked product.
+    """
+    b, h, s, dk = v.shape
+    heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
+    rows_per = max(1, _ATTENTION_BLOCK // (h * s * s)) if heads_per == h else 1
+    ctx = np.empty((b, s, h, dk))
+    ctx_heads = ctx.transpose(0, 2, 1, 3)
+    for i in range(0, b, rows_per):
+        for j in range(0, h, heads_per):
+            blk = np.s_[i:i + rows_per, j:j + heads_per]
+            probs = ad.softmax_last(Tensor(scores[blk])).value
+            np.matmul(probs, v[blk], out=ctx_heads[blk])
+    return Tensor(ctx.reshape(b, s, h * dk))
+
+
 def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
-    """Position-wise FFN of the ``{prefix}.*`` tensors with residual and post-LN."""
-    h = weight(params, f"{prefix}.w1").apply(x, params[f"{prefix}.b1"], gelu=True)
-    out = weight(params, f"{prefix}.w2").apply(h, params[f"{prefix}.b2"], residual=x)
-    return ad.layer_norm(out, params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"])
+    """Position-wise FFN of the ``{prefix}.*`` tensors with residual and post-LN.
+
+    With no graph to record and more than ``_FFN_BLOCK / ffn_dim`` tokens,
+    it runs over blocks of that many token rows, each written into the
+    output, so only one block of the ffn_dim-wide hidden exists at once.
+    Every row is computed by the same operations either way.
+    """
+    w1, w2 = weight(params, f"{prefix}.w1"), weight(params, f"{prefix}.w2")
+    b1, b2 = params[f"{prefix}.b1"], params[f"{prefix}.b2"]
+    gamma, beta = params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"]
+
+    def rows(x: Tensor) -> Tensor:  # the hidden is freed before the LayerNorm
+        return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x), gamma, beta)
+
+    block = max(1, _FFN_BLOCK // b1.shape[0])
+    tokens = x.value.reshape(-1, x.shape[-1])
+    if len(tokens) <= block or _records_graph(params, prefix, x):
+        return rows(x)
+    out = np.empty_like(tokens)
+    for lo in range(0, len(tokens), block):
+        out[lo:lo + block] = rows(Tensor(tokens[lo:lo + block])).value
+    return Tensor(out.reshape(x.shape))
 
 
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
@@ -194,14 +256,15 @@ def forward(model: TransformerModel, token_ids) -> ForwardTrace:
     if s > model.arch.max_seq_len:
         raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
     p = model.params
-    tok = embed(weight(p, "embedding"), ids)
-    pos = ad.gather_rows(p["embedding.position"], np.arange(s))
-    x = ad.layer_norm(tok + pos, p["embedding.ln.gamma"], p["embedding.ln.beta"])
+    x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"], np.arange(s))
+    x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
     trace = ForwardTrace(E=x)
     for i in range(model.arch.layers):
         attn = f"layer.{i}.attn"
-        a_raw, scores = attention_forward(p, attn, x, model.arch.heads)
-        x = ad.layer_norm(x + a_raw, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+        a, scores = attention_forward(p, attn, x, model.arch.heads)
+        a = x + a                                # frees the projection
+        x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+        del a                                    # before the FFN runs
         trace.attn_scores.append(scores)
         trace.attn_out.append(x)
         x = ffn_forward(p, f"layer.{i}.ffn", x)

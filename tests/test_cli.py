@@ -193,6 +193,25 @@ def test_verify_reports_orphan_factor(tmp_path, capsys, present, message):
     assert f"FAIL x: {message}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tensors, message", [
+    ({"embedding.row": np.ones((1, 4))},
+     "FAIL embedding: factor B without matching A (embedding.table missing)"),
+    ({"embedding.table": np.ones((64, 8))},
+     "FAIL embedding: factor A without matching B (embedding.row missing)"),
+    ({"embedding.table": np.ones((64, 8)), "embedding.row": np.ones((2, 4))},
+     "FAIL embedding.row is 2x4, expected a single row"),
+], ids=["lone-row", "lone-table", "two-rows"])
+def test_verify_checks_embedding_pair_without_arch(tmp_path, capsys, tensors, message):
+    store = NamedTensorStore()
+    for name, m in tensors.items():
+        store.add(name, m)
+    path = tmp_path / "embedding.kts"
+    store.save(path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert message in out and "tensors OK" not in out
+
+
 def test_verify_reports_tensors_the_arch_does_not_use(tmp_path, capsys):
     arch = ArchSpec.load(TOY_ARCH)
     path = tmp_path / "three_layers.kts"

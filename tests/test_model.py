@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from kronekit import autodiff as ad
 from kronekit import distill as kd
 from kronekit.kron import KronFactorPair, kron_product
-from kronekit.model import (DenseWeight, KronWeight, attention_forward, build_dense_model,
-                            embed, forward, init_student_from_teacher, layout,
-                            model_from_store, model_to_store)
+from kronekit.model import (DenseWeight, KronWeight, TransformerModel, attention_forward,
+                            build_dense_model, embed, forward, init_student_from_teacher,
+                            layout, model_from_store, model_to_store)
 from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
 
@@ -291,22 +292,84 @@ def test_frozen_forward_keeps_no_graph():
             assert np.array_equal(a.value, b.value)
 
 
-def test_frozen_forward_bit_identical_at_bert_width():
-    # FFN1's 2 x 64 x 3072 output spans several in-place GELU blocks
+@pytest.fixture(scope="module")
+def bert_models():
+    """A one-layer BERT-width dense teacher with nonzero biases and LayerNorm
+    shifts, and its kron8 and kron19 students, all frozen."""
     arch = replace(ArchSpec.load(config_path("bert_base.json")), layers=1, vocab_size=512)
     teacher = build_dense_model(arch, make_rng(23))
-    student, _ = init_student_from_teacher(teacher, make_plan(arch, (384, 384), (8, 2), 8))
-    ids = make_rng(24).integers(0, arch.vocab_size, size=(2, 64))
-    for model in (teacher, student):
-        rng = make_rng(25)
-        for t in model.parameters().values():  # nonzero biases and LN shifts
-            if t.value.ndim == 1:
-                t.value = t.value + 0.1 * rng.standard_normal(t.value.shape)
-        live = _trace_tensors(forward(model, ids))
-        frozen = _trace_tensors(forward(model.freeze(), ids))
-        for a, b in zip(live, frozen, strict=True):
-            assert a._parents and not b._parents
-            assert np.array_equal(a.value, b.value)
+    rng = make_rng(25)
+    for t in teacher.parameters().values():
+        if t.value.ndim == 1:
+            t.value = t.value + 0.1 * rng.standard_normal(t.value.shape)
+    plans = {"kron8": make_plan(arch, (384, 384), (8, 2), 8),
+             "kron19": make_plan(arch, (384, 48), (16, 2), 12)}
+    models = {"dense": teacher} | {name: init_student_from_teacher(teacher, plan)[0]
+                                   for name, plan in plans.items()}
+    return {name: model.freeze() for name, model in models.items()}
+
+
+def _trainable(model):
+    """The same weight arrays as tensors that require grad."""
+    return TransformerModel(model.arch, {name: ad.Tensor(t.value, requires_grad=True)
+                                         for name, t in model.params.items()})
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one per call the model makes to ``autodiff.<name>``."""
+    calls = []
+    fn = getattr(ad, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(ad, name, counted)
+    return calls
+
+
+def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
+    # A frozen pass at (3, 180) runs softmax @ V over blocks of 8 + 4 heads of
+    # one batch row and the FFN over row blocks of 170 + 170 + 170 + 30 tokens;
+    # at (12, 48), softmax @ V over blocks of 9 + 3 whole batch rows and the
+    # FFN over 170 x 3 + 66 tokens; (2, 64) fits in one block of each.
+    # LayerNorm runs after the embedding, after attention and per FFN block.
+    softmax = _count_calls(monkeypatch, "softmax_last")
+    norms = _count_calls(monkeypatch, "layer_norm")
+    for shape, softmax_calls, ffn_blocks in (((3, 180), 6, 4), ((12, 48), 2, 4),
+                                             ((2, 64), 1, 1)):
+        ids = make_rng(24).integers(0, 512, size=shape)
+        for model in bert_models.values():
+            live = _trace_tensors(forward(_trainable(model), ids))
+            assert (len(softmax), len(norms)) == (1, 3)
+            softmax.clear()
+            norms.clear()
+            frozen = _trace_tensors(forward(model, ids))
+            assert (len(softmax), len(norms)) == (softmax_calls, 2 + ffn_blocks)
+            softmax.clear()
+            norms.clear()
+            for a, b in zip(live, frozen, strict=True):
+                assert a._parents and not b._parents
+                assert np.array_equal(a.value, b.value)
+
+
+def test_frozen_forward_peak_memory(bert_models):
+    # A frozen forward holds its trace plus about two (tokens x hidden)
+    # float64 arrays at most. At (3, 180) tokens one such array is 3.3 MB and
+    # the trace 19.3 MB; the kron8 student peaks 2.0 of them past the trace
+    # (dense 1.6, kron19 1.7). It peaked 8.3 past it when each forward held
+    # q, k, v, the whole probability stack and the FFN hidden to the end of
+    # their sublayer.
+    ids = make_rng(26).integers(0, 512, size=(3, 180))
+    model = bert_models["kron8"]
+    forward(model, ids)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        trace = forward(model, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trace_bytes = sum(t.value.nbytes for t in _trace_tensors(trace))
+    assert peak <= trace_bytes + 3 * ids.size * model.arch.hidden * 8
 
 
 def test_frozen_teacher_leaves_student_grads_unchanged():
