@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ShapeError, StoreError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (ShapeError, StoreError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

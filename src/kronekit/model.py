@@ -326,7 +326,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     results: dict[str, NkpResult] = {}
     for slot, _, _, group in layout(arch):
         if not group:
-            params[slot] = ad.parameter(teacher.params[slot].value.copy())
+            params[slot] = ad.parameter(teacher.params[slot].value)
             continue
         name = f"{slot}.dense"
         try:
@@ -354,7 +354,14 @@ def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerMode
     raises ``KeyError``, and a tensor (or factor pair) of the wrong shape or
     one the architecture does not use raises ``ShapeError``, each naming it.
     A weight slot with neither its dense tensor nor any factor is reported
-    missing under its dense name."""
+    missing under its dense name.
+
+    The model shares the store's arrays (a float32 tensor is cast to a new
+    float64 array), so loading a checkpoint holds its payload once; training
+    replaces a parameter's ``.value`` and never writes into it."""
+
+    def shared(v):
+        return Tensor(np.ascontiguousarray(v, dtype=np.float64), requires_grad=True)
 
     def get(name, shape=None):
         if name not in store:
@@ -370,9 +377,9 @@ def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerMode
         pair = factor_names(slot)
         if not group:
             v = get(slot, (rows or 1, cols))
-            params[slot] = ad.parameter(v if rows else v.reshape(-1))
+            params[slot] = shared(v if rows else v.reshape(-1))
         elif f"{slot}.dense" in store or not any(n in store for n in pair):
-            params[f"{slot}.dense"] = ad.parameter(get(f"{slot}.dense", (rows, cols)))
+            params[f"{slot}.dense"] = shared(get(f"{slot}.dense", (rows, cols)))
         else:
             a, b = get(pair[0]), get(pair[1])
             if group == "embedding" and b.shape[0] != 1:
@@ -382,7 +389,7 @@ def model_from_store(store: NamedTensorStore, arch: ArchSpec) -> TransformerMode
             if got != (rows, cols):
                 raise ShapeError(f"kron({pair[0]}, {pair[1]}) is {got[0]}x{got[1]}, "
                                  f"expected {rows}x{cols}")
-            params[pair[0]], params[pair[1]] = ad.parameter(a), ad.parameter(b)
+            params[pair[0]], params[pair[1]] = shared(a), shared(b)
     unused = [name for name in store.names() if name not in params]
     if unused:
         raise ShapeError(f"checkpoint tensor {unused[0]!r} is not used by the "

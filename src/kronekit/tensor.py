@@ -2,11 +2,15 @@
 the KTS1 checkpoint format.
 
 Matrices are plain 2-D numpy arrays (float64 by default, float32 allowed for
-benchmarking). Everything here is pure; arrays are treated as immutable.
+benchmarking), treated as immutable. Apart from ``save`` and ``load``,
+everything here is pure. Checkpoint I/O streams: ``load`` reads each payload
+straight into its own array, which a model built from the store shares, and
+``save`` writes tensor by tensor, so neither holds a second copy of the file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Iterator
 
@@ -40,7 +44,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 _MAGIC = b"KTS"
 _VERSION = b"1"
-_DTYPE_CODES = {0: np.float64, 1: np.float32}
+_DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}  # KTS is little-endian
 _U16_MAX = 0xFFFF  # tensor count and name length are stored as uint16
 _CODE_FOR_DTYPE = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
@@ -77,62 +81,72 @@ class NamedTensorStore:
         return iter(self._entries.items())
 
     def save(self, path) -> None:
+        """Write the store as KTS1, one tensor at a time: each header, then
+        the tensor's own bytes, so no copy of the whole file is built. The
+        count and every name length are checked before the file is opened,
+        so a store KTS cannot hold leaves no file behind."""
         if len(self._entries) > _U16_MAX:
             raise StoreError(f"{path}: {len(self._entries)} tensors, "
                              f"a KTS file holds at most {_U16_MAX}")
-        blob = bytearray()
-        blob += _MAGIC + _VERSION
-        blob += struct.pack("<H", len(self._entries))
-        for name, m in self._entries.items():
-            raw_name = name.encode("utf-8")
+        raw_names = [name.encode("utf-8") for name in self._entries]
+        for name, raw_name in zip(self._entries, raw_names):
             if len(raw_name) > _U16_MAX:
                 raise StoreError(f"{path}: tensor name {name[:40]!r}... is {len(raw_name)} "
                                  f"bytes in UTF-8, at most {_U16_MAX} fit")
-            code = _CODE_FOR_DTYPE[m.dtype]
-            blob += struct.pack("<H", len(raw_name))
-            blob += raw_name
-            blob += struct.pack("<BII", code, m.shape[0], m.shape[1])
-            blob += np.ascontiguousarray(m).astype(m.dtype).tobytes()
         with open(path, "wb") as fh:
-            fh.write(bytes(blob))
+            fh.write(_MAGIC + _VERSION + struct.pack("<H", len(self._entries)))
+            for raw_name, m in zip(raw_names, self._entries.values()):
+                code = _CODE_FOR_DTYPE[m.dtype]
+                fh.write(struct.pack("<H", len(raw_name)) + raw_name
+                         + struct.pack("<BII", code, m.shape[0], m.shape[1]))
+                fh.write(np.ascontiguousarray(m, dtype=_DTYPE_CODES[code]))
 
     @classmethod
     def load(cls, path) -> "NamedTensorStore":
+        """Read a KTS1 file: the header fields by small reads, and each
+        payload, once its size is checked against the file's, straight into
+        its own fresh array, so loading holds the payload once."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < 4 or data[:3] != _MAGIC:
-            raise BadMagicError(f"{path}: not a KTS file")
-        if data[3:4] != _VERSION:
-            raise UnsupportedVersionError(f"{path}: unsupported KTS version {data[3:4]!r}")
-        store = cls()
-        off = 4
-        try:
-            (count,) = struct.unpack_from("<H", data, off)
-            off += 2
-            for _ in range(count):
-                (name_len,) = struct.unpack_from("<H", data, off)
-                off += 2
-                if len(data) < off + name_len:
-                    raise struct.error("name truncated")
-                try:
-                    name = data[off : off + name_len].decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise StoreError(f"{path}: tensor name at byte {off} is not "
-                                     f"valid UTF-8 ({exc.reason})") from exc
-                if name in store:
-                    raise StoreError(f"{path}: duplicate tensor name {name!r} at byte {off}")
-                off += name_len
-                code, rows, cols = struct.unpack_from("<BII", data, off)
-                off += 9
-                if code not in _DTYPE_CODES:
-                    raise StoreError(f"{path}: unknown dtype code {code}")
-                dtype = np.dtype(_DTYPE_CODES[code])
-                nbytes = rows * cols * dtype.itemsize
-                if len(data) < off + nbytes:
-                    raise TruncatedFileError(f"{path}: payload of {name!r} truncated")
-                m = np.frombuffer(data[off : off + nbytes], dtype=dtype).reshape(rows, cols)
-                off += nbytes
-                store.add(name, m.copy())
-        except struct.error as exc:
-            raise TruncatedFileError(f"{path}: header truncated ({exc})") from exc
+            size = os.fstat(fh.fileno()).st_size
+            magic = fh.read(4)
+            if len(magic) < 4 or magic[:3] != _MAGIC:
+                raise BadMagicError(f"{path}: not a KTS file")
+            if magic[3:4] != _VERSION:
+                raise UnsupportedVersionError(f"{path}: unsupported KTS version {magic[3:4]!r}")
+            store = cls()
+
+            def unpack(fmt):
+                off, n = fh.tell(), struct.calcsize(fmt)
+                if size < off + n:
+                    raise struct.error(f"{n} bytes needed at byte {off}, the file has {size}")
+                return struct.unpack(fmt, fh.read(n))
+
+            try:
+                (count,) = unpack("<H")
+                for _ in range(count):
+                    (name_len,) = unpack("<H")
+                    off = fh.tell()
+                    raw_name = fh.read(name_len)
+                    if len(raw_name) < name_len:
+                        raise struct.error("name truncated")
+                    try:
+                        name = raw_name.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise StoreError(f"{path}: tensor name at byte {off} is not "
+                                         f"valid UTF-8 ({exc.reason})") from exc
+                    if name in store:
+                        raise StoreError(f"{path}: duplicate tensor name {name!r} at byte {off}")
+                    code, rows, cols = unpack("<BII")
+                    if code not in _DTYPE_CODES:
+                        raise StoreError(f"{path}: unknown dtype code {code}")
+                    dtype = _DTYPE_CODES[code]
+                    nbytes = rows * cols * dtype.itemsize
+                    if size < fh.tell() + nbytes:
+                        raise TruncatedFileError(f"{path}: payload of {name!r} truncated")
+                    m = np.empty((rows, cols), dtype)
+                    if fh.readinto(m) != nbytes:  # the file shrank meanwhile
+                        raise TruncatedFileError(f"{path}: payload of {name!r} truncated")
+                    store.add(name, m)
+            except struct.error as exc:
+                raise TruncatedFileError(f"{path}: header truncated ({exc})") from exc
         return store

@@ -257,6 +257,17 @@ def test_verify_bad_file_is_validation_error(tmp_path):
     assert main(["verify", str(tmp_path / "missing.kts")]) == 2
 
 
+def test_directory_paths_are_validation_errors(tmp_path, teacher_store, capsys):
+    for argv in (["verify", str(tmp_path)],
+                 ["compress", str(tmp_path), TOY_SHAPES, "--arch", TOY_ARCH,
+                  "--out", str(tmp_path / "x.kts")],
+                 ["compress", str(teacher_store), TOY_SHAPES, "--arch", TOY_ARCH,
+                  "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and str(tmp_path) in err
+
+
 def test_bench_runs(capsys):
     assert main(["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--iters", "2",
                  "--seq-len", "4", "--dtype", "f32"]) == 0

@@ -372,6 +372,57 @@ def test_frozen_forward_peak_memory(bert_models):
     assert peak <= trace_bytes + 3 * ids.size * model.arch.hidden * 8
 
 
+# ------------------------------------------------------ checkpoint memory
+
+def _traced_peak(fn):
+    """The peak bytes tracemalloc saw allocated while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bert_checkpoints(bert_models, tmp_path_factory):
+    """Each BERT-width model's store and the KTS file it was saved to."""
+    root = tmp_path_factory.mktemp("checkpoints")
+    out = {}
+    for name, model in bert_models.items():
+        store = model_to_store(model)
+        store.save(root / f"{name}.kts")
+        out[name] = store, root / f"{name}.kts"
+    return out
+
+
+def test_checkpoint_io_holds_the_payload_at_most_once(bert_models, bert_checkpoints):
+    # The dense one-layer store is 63 MB of float64. Peak allocation over
+    # that payload: save 0.00, load 1.00, model_from_store(load) 1.00. They
+    # were 2.12, 2.30 and 2.30 when save built the whole file as bytes, load
+    # read it whole and copied each tensor out of it twice, and
+    # model_from_store copied every array again.
+    store, path = bert_checkpoints["dense"]
+    arch = bert_models["dense"].arch
+    payload = sum(m.nbytes for _, m in store.items())
+    assert payload > 50e6
+    assert _traced_peak(lambda: store.save(path)) <= 0.1 * payload
+    assert _traced_peak(lambda: NamedTensorStore.load(path)) <= 1.1 * payload
+    assert _traced_peak(lambda: model_from_store(NamedTensorStore.load(path), arch)) \
+        <= 1.1 * payload
+
+
+def test_model_shares_the_loaded_store_arrays(bert_models, bert_checkpoints):
+    for name, (saved, path) in bert_checkpoints.items():
+        store = NamedTensorStore.load(path)
+        model = model_from_store(store, bert_models[name].arch)
+        assert model.params.keys() == set(store.names())
+        for tensor_name, t in model.params.items():
+            assert np.shares_memory(t.value, store[tensor_name])
+            assert np.array_equal(t.value.reshape(saved[tensor_name].shape),
+                                  saved[tensor_name])
+
+
 def test_frozen_teacher_leaves_student_grads_unchanged():
     ids = make_rng(21).integers(0, TOY.vocab_size, size=(2, 4))
     labels = np.array([0, 1])

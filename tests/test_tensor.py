@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,22 @@ def test_store_unknown_dtype_code(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(StoreError):
         NamedTensorStore.load(path)
+
+
+def test_store_oversized_payload_claim_allocates_nothing(tmp_path):
+    # one tensor named "w" claiming (2**32 - 1) x (2**32 - 1) float64 entries
+    header = (b"KTS1" + struct.pack("<HH", 1, 1) + b"w"
+              + struct.pack("<BII", 0, 2**32 - 1, 2**32 - 1))
+    path = tmp_path / "huge.kts"
+    path.write_bytes(header.ljust(40, b"\0"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError, match="payload of 'w' truncated"):
+            NamedTensorStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_store_load_any_bytes_loads_or_raises_store_error(tmp_path):
