@@ -4,7 +4,7 @@ Covers exactly the operations the toy Transformer and the distillation
 losses need: broadcast add/mul, batched matmul, the fused linear map
 ``linear`` (a dense W or a Kronecker pair (A, B), with its bias, residual,
 scale and GELU in one node), reshape, transpose and axis ``permute``, gather,
-concat, erf-GELU, row softmax, layernorm, reductions, and cross-entropy.
+concat, erf-GELU, row softmax, layernorm, mean, and cross-entropy.
 Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
@@ -12,13 +12,13 @@ inference: each intermediate is freed as soon as nothing refers to it, and
 the model's forward then holds only its trace plus one block (the graph
 path is unchanged).
 
-``linear``, GELU, softmax and layernorm work in place on the arrays they
+``linear``, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the
 same order as the separate textbook ops, so their values do not depend on
 whether a graph is recorded. ``linear`` adds its residual and bias, scales
-and applies GELU in the kernel's fresh output. When no graph is kept, GELU
-runs in place over fixed blocks, and GELU and layernorm return their own
-buffer as the output.
+and applies GELU in the kernel's fresh output, in place over fixed blocks
+when no graph is kept; the model's GELU is this one, not ``gelu``. Without
+a graph layernorm returns its own buffer as the output.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from . import kron
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _GELU_BLOCK = 1 << 17  # elements (1 MiB of float64) per in-place GELU block
+_LN_EPS = 1e-6
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -159,15 +160,6 @@ class Tensor:
                                      * np.ones_like(self.value))
         return Tensor(self.value.mean(axis=axis), parents=(self,), backward=backward)
 
-    def sum(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.full_like(self.value, g))
-        return Tensor(self.value.sum(), parents=(self,), backward=backward)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.value)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -231,10 +223,6 @@ def _gelu_grad(g: np.ndarray, v: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 def gelu(x: Tensor) -> Tensor:
     """erf-based GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
     v = x.value
-    if not x.requires_grad:  # no graph to keep the cdf for
-        out = v.copy()
-        _gelu_in_place(out)
-        return Tensor(out)
     cdf = _gelu_cdf(v, np.empty_like(v))
 
     def backward(g):
@@ -323,24 +311,13 @@ def softmax_last(x: Tensor) -> Tensor:
     return Tensor(s, parents=(x,), backward=backward)
 
 
-def log_softmax_last(x: Tensor) -> Tensor:
-    v = x.value
-    shifted = v - v.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g - np.exp(logp) * g.sum(axis=-1, keepdims=True))
-    return Tensor(logp, parents=(x,), backward=backward)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     v = x.value
     mu = v.mean(axis=-1, keepdims=True)
     xhat = v - mu
     var = (xhat ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
         xhat *= gamma.value  # no graph to keep xhat for: it becomes the output

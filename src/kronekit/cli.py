@@ -16,8 +16,8 @@ import numpy as np
 
 from . import distill as kd
 from .kron import FactorShape, kron_apply, kron_flops
-from .model import (build_dense_model, factor_names, init_student_from_teacher, model_from_store,
-                    model_to_store)
+from .model import (build_dense_model, check_plan, factor_names, init_student_from_teacher,
+                    model_from_store, model_to_store)
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, count_flops,
                       count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
@@ -45,7 +45,9 @@ def _load_plan(path: str, arch: ArchSpec) -> CompressionPlan:
     with open(path) as fh:
         d = json.load(fh)
     if isinstance(d, dict) and "attention_shape" in d:
-        return CompressionPlan.from_json(d)
+        plan = CompressionPlan.from_json(d)
+        check_plan(arch, plan)  # a full plan may be written for another architecture
+        return plan
     # shorthand shapes file: {"attention": [m1, n1], "ffn1": [m1, n1], "embedding_n": n}
     return make_plan(arch, json_field(d, "attention", "plan", tuple),
                      json_field(d, "ffn1", "plan", tuple), json_field(d, "embedding_n", "plan"))
@@ -78,9 +80,6 @@ def cmd_plan(args) -> int:
     arch = ArchSpec.load(args.arch)
     if (args.ratio is None) == (args.shapes is None):
         print("plan: provide exactly one of --ratio or --shapes", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.ratio is not None and not args.ratio > 1:  # NaN fails the test too
-        print(f"plan: --ratio must exceed 1, got {args.ratio:g}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         if args.shapes is not None:
@@ -172,9 +171,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.iters < 1:
-        print(f"bench: --iters must be positive, got {args.iters}", file=sys.stderr)
-        return EXIT_VALIDATION
     arch = ArchSpec.load(args.arch)
     plan = _load_plan(args.plan, arch)
     rng = make_rng(_seed_from(args))
@@ -248,9 +244,8 @@ def cmd_distill(args) -> int:
     if args.history:
         kd.write_history(history, args.history)
     elapsed = time.perf_counter() - t0
-    final = history[-1]["total"] if history else float("nan")
-    print(f"distill: {args.steps} steps ({args.stage}), final total loss {final:.6f}, "
-          f"{elapsed:.1f}s wall time")
+    print(f"distill: {args.steps} steps ({args.stage}), "
+          f"final total loss {history[-1]['total']:.6f}, {elapsed:.1f}s wall time")
     return EXIT_OK
 
 
@@ -330,8 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# the value each numeric flag must exceed, checked before any command runs
+FLAG_FLOORS = {"ratio": 1, "seq_len": 0, "iters": 0, "steps": 0, "teacher_steps": -1, "tol": 0}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for name, floor in FLAG_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and not floor < value < np.inf:
+            print(f"{args.command}: --{name.replace('_', '-')} must be a finite number "
+                  f"above {floor}, got {value:g}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.fn(args)
     except (ShapeError, StoreError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -4,8 +4,9 @@ Intermediate losses match the embedding output, the pre-softmax attention
 score stacks, and the FFN sublayer outputs between student and teacher; the
 projection loss compares pooled last-layer features against the teacher's
 features mapped through a learnable square matrix P (initialized to the
-identity). The pre-training-style stage uses the intermediate terms only;
-the fine-tuning stage adds projection, logits, and task cross-entropy.
+identity). The logits term is the mean squared error to the teacher's
+logits. The pre-training-style stage uses the intermediate terms only; the
+fine-tuning stage adds projection, logits, and task cross-entropy.
 
 Training is plain SGD, single-threaded, and bit-deterministic for a fixed
 seed. History rows deliberately carry no timestamps so replays are
@@ -27,6 +28,7 @@ from .planner import ArchSpec
 STAGES = ("pretrain_kd", "finetune_kd", "no_kd")
 INTERMEDIATE_COMPONENTS = ("embedding", "attention", "ffn")
 ALL_COMPONENTS = ("embedding", "attention", "ffn", "projection", "logits", "ce")
+BATCH_SIZE = 8
 
 
 class TraceMismatchError(ValueError):
@@ -65,11 +67,8 @@ class TrainConfig:
     stage: str
     steps: int
     lr: float = 1e-3
-    batch_size: int = 8
     seed: int = 0
     clip: float | None = None
-    logits_mode: str = "mse"   # "mse" or temperature-softened "kl"
-    temperature: float = 2.0
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -99,8 +98,7 @@ def _zero() -> Tensor:
 
 def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
               proj: Tensor | None = None, labels: np.ndarray | None = None,
-              components: tuple[str, ...] = ALL_COMPONENTS,
-              logits_mode: str = "mse", temperature: float = 2.0) -> KdLossBundle:
+              components: tuple[str, ...] = ALL_COMPONENTS) -> KdLossBundle:
     """All loss terms for one batch; disabled components stay at zero and
     contribute nothing to the graph."""
     st, tt = student_trace, teacher_trace
@@ -131,12 +129,7 @@ def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
         proj_l = ad.mse(gs, gt @ proj.transpose_last())
     if "logits" in components:
         _check_pair("logits", st.logits, tt.logits)
-        if logits_mode == "mse":
-            log_l = ad.mse(st.logits, tt.logits)
-        elif logits_mode == "kl":
-            log_l = _soft_kl(st.logits, tt.logits, temperature)
-        else:
-            raise ValueError(f"unknown logits_mode {logits_mode!r}")
+        log_l = ad.mse(st.logits, tt.logits)
     if "ce" in components:
         if labels is None:
             raise ValueError("ce component requires labels")
@@ -151,17 +144,6 @@ def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
             total = total + v
     return KdLossBundle(**{k: (v if v is not None else _zero()) for k, v in parts.items()},
                         total=total)
-
-
-def _soft_kl(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
-    """Temperature-softened KL(teacher || student), scaled by T^2."""
-    t = temperature
-    p_t = ad.softmax_last(teacher_logits.detach() * (1.0 / t)).value
-    log_p_s = ad.log_softmax_last(student_logits * (1.0 / t))
-    log_p_t = np.log(np.maximum(p_t, 1e-300))
-    kl_terms = Tensor(p_t * log_p_t) - Tensor(p_t) * log_p_s
-    batch = int(np.prod(student_logits.shape[:-1]))
-    return kl_terms.sum() * (t * t / batch)
 
 
 def grad(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -213,7 +195,7 @@ def train(student: TransformerModel, teacher: TransformerModel | None,
     history: list[dict] = []
     last_finite: dict | None = None
     for step in range(cfg.steps):
-        idx = rng.choice(n, size=min(cfg.batch_size, n), replace=False)
+        idx = rng.choice(n, size=min(BATCH_SIZE, n), replace=False)
         batch_ids, batch_labels = inputs[idx], labels[idx]
         st = forward(student, batch_ids)
         if teacher is not None:
@@ -221,8 +203,7 @@ def train(student: TransformerModel, teacher: TransformerModel | None,
         else:
             tt = st  # unused: no_kd computes only the CE term
         bundle = kd_losses(st, tt, proj=proj, labels=batch_labels,
-                           components=cfg.components, logits_mode=cfg.logits_mode,
-                           temperature=cfg.temperature)
+                           components=cfg.components)
         record = {"step": step, **bundle.floats()}
         if not np.isfinite(record["total"]):
             raise TrainDivergedError(step, last_finite)
@@ -253,11 +234,7 @@ def write_history(history: list[dict], path) -> None:
 REGIMES = (("none", "no_kd"), ("none", "kd"), ("kd", "no_kd"), ("kd", "kd"))
 
 
-def run_ablation(arch: ArchSpec, plan, seed: int = 0, teacher_steps: int = 1500,
-                 student_steps: int = 300, seq_len: int = 8,
-                 lr_teacher: float = 0.3, lr_kd: float = 0.08, lr_task: float = 0.3,
-                 corpus_size: int = 256, task_size: int = 48,
-                 eval_size: int = 256, clip: float = 1.0) -> dict:
+def run_ablation(arch: ArchSpec, plan, seed: int = 0, student_steps: int = 300) -> dict:
     """Four-regime {pretrain KD?} x {finetune KD?} comparison at toy scale.
 
     The teacher trains on the full corpus; the pretraining KD stage reuses it
@@ -266,17 +243,20 @@ def run_ablation(arch: ArchSpec, plan, seed: int = 0, teacher_steps: int = 1500,
     teacher's features act as a regularizer. All regimes share the teacher,
     the data, the student initialization, and the total step budget; only the
     loss masks differ.
+
+    The recipe is fixed: 8-token sequences, a 256-sequence corpus whose first
+    48 are the task set, 256 held-out sequences; the teacher trains 1500 steps
+    at lr 0.3, KD stages at lr 0.08, plain CE fine-tuning at lr 0.3, clip 1.0.
     """
     from .model import build_dense_model, init_student_from_teacher
 
     data_rng = np.random.default_rng(seed)
-    corpus = make_synthetic_task(arch, corpus_size, seq_len, data_rng)
-    eval_data = make_synthetic_task(arch, eval_size, seq_len, data_rng)
-    task_data = (corpus[0][:task_size], corpus[1][:task_size])
+    corpus = make_synthetic_task(arch, 256, 8, data_rng)
+    eval_data = make_synthetic_task(arch, 256, 8, data_rng)
+    task_data = (corpus[0][:48], corpus[1][:48])
 
     teacher = build_dense_model(arch, np.random.default_rng(seed + 1))
-    train(teacher, None, corpus,
-          TrainConfig(stage="no_kd", steps=teacher_steps, lr=lr_teacher, seed=seed))
+    train(teacher, None, corpus, TrainConfig(stage="no_kd", steps=1500, lr=0.3, seed=seed))
     teacher.freeze()
 
     results = {"teacher": eval_metrics(teacher, teacher, eval_data), "regimes": {}}
@@ -288,14 +268,14 @@ def run_ablation(arch: ArchSpec, plan, seed: int = 0, teacher_steps: int = 1500,
         remaining = student_steps
         if pretrain == "kd":
             history += train(student, teacher, corpus,
-                             TrainConfig(stage="pretrain_kd", steps=half, lr=lr_kd,
-                                         seed=seed + 3, clip=clip), proj=proj)
+                             TrainConfig(stage="pretrain_kd", steps=half, lr=0.08,
+                                         seed=seed + 3, clip=1.0), proj=proj)
             remaining -= half
         stage = "finetune_kd" if finetune == "kd" else "no_kd"
-        lr = lr_kd if finetune == "kd" else lr_task
+        lr = 0.08 if finetune == "kd" else 0.3
         history += train(student, teacher if finetune == "kd" else None, task_data,
                          TrainConfig(stage=stage, steps=remaining, lr=lr,
-                                     seed=seed + 4, clip=clip), proj=proj)
+                                     seed=seed + 4, clip=1.0), proj=proj)
         metrics = eval_metrics(student, teacher, eval_data)
         results["regimes"][f"{pretrain}/{finetune}"] = {
             "pretrain": pretrain, "finetune": finetune, **metrics,

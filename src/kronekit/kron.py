@@ -69,16 +69,8 @@ class KronFactorPair:
         return FactorShape(self.a.shape[0], self.a.shape[1], self.b.shape[0], self.b.shape[1])
 
     @property
-    def rows(self) -> int:
-        return self.a.shape[0] * self.b.shape[0]
-
-    @property
     def cols(self) -> int:
         return self.a.shape[1] * self.b.shape[1]
-
-    @property
-    def param_count(self) -> int:
-        return self.a.size + self.b.size
 
 
 def kron_product(p: KronFactorPair) -> np.ndarray:

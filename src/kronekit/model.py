@@ -294,19 +294,9 @@ def build_dense_model(arch: ArchSpec, rng: np.random.Generator) -> TransformerMo
     return TransformerModel(arch, params)
 
 
-def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
-                              rng: np.random.Generator | None = None,
-                              ) -> tuple[TransformerModel, dict[str, NkpResult]]:
-    """Compress a dense teacher: factorized groups get their nearest
-    Kronecker approximation, everything else is copied verbatim.
-
-    Returns the student and the NKP result of each factorized weight, keyed
-    by the teacher's checkpoint name (``embedding.dense``,
-    ``layer.0.attn.wq.dense``, ...). Every plan group is checked against the
-    architecture before any factorization; a misfit raises ``ShapeError``
-    naming the group. The result is deterministic; ``rng`` is unused and kept
-    only so that existing callers that pass it keep working."""
-    arch = teacher.arch
+def check_plan(arch: ArchSpec, plan: CompressionPlan) -> dict[str, FactorShape]:
+    """Each plan group's factor shape for ``arch``, embedding included; a
+    group that does not fit the architecture raises ``ShapeError`` naming it."""
     d = arch.hidden
     shapes = {"attention": plan.attention_shape, "ffn1": plan.ffn1_shape,
               "ffn2": plan.ffn2_shape}
@@ -319,6 +309,23 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     if d % plan.embedding_n != 0:
         raise ShapeError(f"plan embedding_n={plan.embedding_n} does not divide {d}")
     shapes["embedding"] = FactorShape(arch.vocab_size, d // plan.embedding_n, 1, plan.embedding_n)
+    return shapes
+
+
+def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
+                              rng: np.random.Generator | None = None,
+                              ) -> tuple[TransformerModel, dict[str, NkpResult]]:
+    """Compress a dense teacher: factorized groups get their nearest
+    Kronecker approximation, everything else is copied verbatim.
+
+    Returns the student and the NKP result of each factorized weight, keyed
+    by the teacher's checkpoint name (``embedding.dense``,
+    ``layer.0.attn.wq.dense``, ...). The plan is checked against the
+    architecture (:func:`check_plan`) before any factorization. The result
+    is deterministic; ``rng`` is unused and kept only so that existing
+    callers that pass it keep working."""
+    arch = teacher.arch
+    shapes = check_plan(arch, plan)
     if any(group and f"{slot}.dense" not in teacher.params
            for slot, _, _, group in layout(arch)):
         raise ShapeError("teacher must be dense")

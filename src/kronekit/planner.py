@@ -126,19 +126,16 @@ class CompressionPlan:
     ffn2_shape: FactorShape
     embedding_n: int
 
-    def to_json(self, arch: ArchSpec | None = None, seq_len: int | None = None) -> dict:
-        d = {
+    def to_json(self, arch: ArchSpec, seq_len: int) -> dict:
+        return {
             "attention_shape": self.attention_shape.to_json(),
             "ffn1_shape": self.ffn1_shape.to_json(),
             "ffn2_shape": self.ffn2_shape.to_json(),
             "embedding_n": self.embedding_n,
+            "total_params": count_params(arch, self),
+            "compression_factor": count_params(arch) / count_params(arch, self),
+            "total_flops": count_flops(arch, self, seq_len),
         }
-        if arch is not None:
-            d["total_params"] = count_params(arch, self)
-            d["compression_factor"] = count_params(arch) / count_params(arch, self)
-            if seq_len is not None:
-                d["total_flops"] = count_flops(arch, self, seq_len)
-        return d
 
     @classmethod
     def from_json(cls, d: dict) -> "CompressionPlan":
@@ -235,11 +232,8 @@ class FlopsBreakdown:
     attention_scores: int
     softmax: int
 
-    def total(self, include_attention: bool = False) -> int:
-        t = self.linear + self.embedding
-        if include_attention:
-            t += self.attention_scores + self.softmax
-        return t
+    def total(self) -> int:
+        return self.linear + self.embedding
 
 
 def _linear_flops_per_token(arch: ArchSpec, plan: CompressionPlan | None) -> int:
@@ -262,10 +256,9 @@ def flops_breakdown(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int) 
     return FlopsBreakdown(linear, embedding, scores, softmax)
 
 
-def count_flops(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int,
-                include_attention: bool = False) -> int:
+def count_flops(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int) -> int:
     """Forward-pass FLOPs for one sequence under the documented convention."""
-    return flops_breakdown(arch, plan, seq_len).total(include_attention)
+    return flops_breakdown(arch, plan, seq_len).total()
 
 
 # ---------------------------------------------------------------- plan search

@@ -105,12 +105,29 @@ def test_plan_group_not_fitting_arch_is_validation_error(tmp_path, teacher_store
         "ffn2_shape": {"m1": 4, "n1": 8, "m2": 8, "n2": 8},
         "embedding_n": 4}))
     out = tmp_path / "x.kts"
-    for argv in (["compress", str(teacher_store), str(plan), "--arch", TOY_ARCH],
+    for argv in (["compress", str(teacher_store), str(plan), "--arch", TOY_ARCH,
+                  "--out", str(out)],
                  ["distill", str(plan), "--arch", TOY_ARCH, "--teacher", str(teacher_store),
-                  "--steps", "1"]):
-        assert main(argv + ["--out", str(out)]) == 2
-        assert "plan ffn1 shape is 128x32" in capsys.readouterr().err
+                  "--steps", "1", "--out", str(out)],
+                 ["plan", TOY_ARCH, "--shapes", str(plan), "--out", str(out)],
+                 ["report", "--arch", TOY_ARCH, "--shapes", str(plan)],
+                 ["bench", str(plan), "--arch", TOY_ARCH, "--iters", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "plan ffn1 shape is 128x32" in captured.err and captured.out == ""
         assert not out.exists()
+
+
+def test_plan_for_another_arch_is_validation_error(tmp_path, capsys):
+    toy_plan = tmp_path / "toy_plan.json"
+    assert main(["plan", TOY_ARCH, "--shapes", TOY_SHAPES, "--out", str(toy_plan)]) == 0
+    capsys.readouterr()
+    for argv in (["plan", BERT_ARCH, "--shapes", str(toy_plan)],
+                 ["report", "--arch", BERT_ARCH, "--shapes", str(toy_plan)],
+                 ["bench", str(toy_plan), "--arch", BERT_ARCH, "--iters", "1"]):
+        assert main(argv) == 2
+        assert ("plan attention shape is 32x32, the architecture's weight is 768x768"
+                in capsys.readouterr().err)
 
 
 def test_compress_non_finite_weight_is_validation_error(tmp_path, capsys):
@@ -279,6 +296,31 @@ def test_bench_runs(capsys):
 def test_bench_non_positive_iters_is_validation_error(iters, capsys):
     assert main(["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--iters", iters]) == 2
     assert "--iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--seq-len", "-1"],
+    ["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--seq-len", "0"],
+    ["plan", TOY_ARCH, "--ratio", "4", "--seq-len", "0"],
+    ["report", "--arch", TOY_ARCH, "--seq-len", "-3"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--steps", "-1"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--steps", "0"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--teacher-steps", "-1"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "inf"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--tol", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_store, capsys):
+    out = tmp_path / "student.kts"
+    if argv[0] == "verify":
+        argv = [argv[0], str(teacher_store), *argv[1:]]
+    if argv[0] == "distill":
+        argv = [*argv, "--teacher", str(teacher_store), "--out", str(out)]
+    assert main(argv) == 2
+    flag = next(a for a in argv if a in ("--seq-len", "--steps", "--teacher-steps", "--tol"))
+    assert f"{argv[0]}: {flag} must be a finite number above" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_distill_refuses_large_arch(capsys):

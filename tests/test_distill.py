@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kronekit import distill as kd
+from kronekit.autodiff import Tensor
 from kronekit.model import build_dense_model, forward, init_student_from_teacher
 from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import make_rng
@@ -62,7 +63,7 @@ def test_self_distillation_is_zero():
 
 def test_constant_offset_gives_unit_mse():
     st, tt, _ = traces(seed=3)
-    st.E = st.E * 0.0 + tt.E.detach() + 1.0
+    st.E = st.E * 0.0 + Tensor(tt.E.value) + 1.0
     bundle = kd.kd_losses(st, tt, components=("embedding",))
     assert np.isclose(bundle.embedding.value, 1.0)
 
@@ -76,25 +77,11 @@ def test_trace_mismatch_detection():
 
 
 def test_component_requirements():
-    st, tt, labels = traces(seed=5)
+    st, tt, _ = traces(seed=5)
     with pytest.raises(ValueError):
         kd.kd_losses(st, tt, components=("projection",))  # needs proj
     with pytest.raises(ValueError):
         kd.kd_losses(st, tt, components=("ce",))          # needs labels
-    with pytest.raises(ValueError):
-        kd.kd_losses(st, tt, labels=labels, proj=kd.make_projection(TOY.hidden),
-                     logits_mode="huber")
-
-
-def test_soft_kl_properties():
-    st, tt, _ = traces(seed=6)
-    same = kd._soft_kl(tt.logits, tt.logits, temperature=2.0)
-    assert abs(same.value) < 1e-12
-    diff = kd._soft_kl(st.logits, tt.logits, temperature=2.0)
-    assert diff.value > 0.0
-    bundle = kd.kd_losses(st, tt, proj=kd.make_projection(TOY.hidden),
-                          labels=np.zeros(2, dtype=int), logits_mode="kl")
-    assert np.isclose(bundle.logits.value, diff.value)
 
 
 def test_stage_masks():
