@@ -2,9 +2,10 @@
 
 Covers exactly the operations the toy Transformer and the distillation
 losses need: broadcast add/mul, batched matmul, the fused linear map
-``linear`` (a dense W or a Kronecker pair (A, B), with its bias, residual,
-scale and GELU in one node), reshape, transpose and axis ``permute``, gather,
-concat, erf-GELU, row softmax, layernorm, mean, and cross-entropy.
+``linear`` (a dense W or a Kronecker pair (A, B), with its optional bias,
+residual, scale and GELU in one node), reshape, transpose and axis
+``permute``, gather, concat, erf-GELU, tanh, row softmax, layernorm, mean,
+and cross-entropy.
 Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
@@ -230,16 +231,17 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(v * cdf, parents=(x,), backward=backward)
 
 
-def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor, *,
+def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | None = None, *,
            residual: Tensor | None = None, scale: float | None = None,
            gelu: bool = False) -> Tensor:
     """``act(scale * (x @ W^T + residual + bias))`` over the last axis, one node.
 
     ``weight`` is a dense W (out x in) or a pair (A, B) standing for
     W = A (x) B, applied by ``kron.kron_apply`` without forming W. The
-    residual, bias, scale and GELU (``act``) are applied in that order in
-    place on the product's fresh array, so each value equals that of the
-    separate ops. The backward runs the kernel on the transposed factors.
+    residual, bias (if any), scale and GELU (``act``) are applied in that
+    order in place on the product's fresh array, so each value equals that
+    of the separate ops. The backward runs the kernel on the transposed
+    factors.
     """
     xv = x.value
     if isinstance(weight, Tensor):
@@ -250,12 +252,14 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor, *,
         out = kron.kron_apply(factors[0].value, factors[1].value, xv)
     if residual is not None:
         out += residual.value
-    out += bias.value
+    if bias is not None:
+        out += bias.value
     if scale is not None:
         out *= scale
     # the backward explores x's subgraph before the residual's, as it does
     # for ``residual + x @ W^T``, so grads accumulate in the same order
-    parents = ((residual,) if residual is not None else ()) + (x, *factors, bias)
+    parents = ((residual,) if residual is not None else ()) + (x, *factors) \
+        + ((bias,) if bias is not None else ())
     if gelu and not any(p.requires_grad for p in parents):
         _gelu_in_place(out)  # no graph to keep the pre-activation for
         return Tensor(out)
@@ -270,7 +274,7 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor, *,
             g = g * scale
         if residual is not None and residual.requires_grad:
             residual._accumulate(_unbroadcast(g, residual.value.shape))
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.value.shape))
         if len(factors) == 1:
             w = factors[0]
@@ -296,6 +300,14 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor, *,
             if b.requires_grad:
                 b._accumulate(gi.T @ (av @ xk).reshape(m1 * t, n2))
     return Tensor(out, parents=parents, backward=backward)
+
+
+def tanh(x: Tensor) -> Tensor:
+    y = np.tanh(x.value)
+
+    def backward(g):
+        x._accumulate(g * (1.0 - y * y))
+    return Tensor(y, parents=(x,), backward=backward)
 
 
 def softmax_last(x: Tensor) -> Tensor:

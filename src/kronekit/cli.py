@@ -15,11 +15,12 @@ import time
 import numpy as np
 
 from . import distill as kd
-from .kron import FactorShape, kron_apply, kron_flops
-from .model import (build_dense_model, check_plan, factor_names, init_student_from_teacher,
+from .kron import FactorShape, dense_matvec_flops, kron_apply, kron_flops
+from .model import (build_dense_model, factor_names, init_student_from_teacher,
                     model_from_store, model_to_store)
-from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, count_flops,
-                      count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
+from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, check_plan, count_flops,
+                      count_params, counted, flops_breakdown, json_field, make_plan,
+                      plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
 
 EXIT_OK = 0
@@ -33,12 +34,6 @@ FLOPS_CONVENTION = (
     "matmuls and softmax (identical between dense and factorized models) are "
     "reported separately and excluded from the headline total; layernorm and "
     "GELU are excluded.")
-
-
-def _seed_from(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("KRONEKIT_SEED", "0"))
 
 
 def _load_plan(path: str, arch: ArchSpec) -> CompressionPlan:
@@ -110,12 +105,17 @@ def cmd_compress(args) -> int:
     except RuntimeError as exc:  # a weight NKP cannot factor, e.g. non-finite
         print(f"compress: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    model_to_store(student).save(args.out)
+    store = model_to_store(student)
+    store.save(args.out)
     dense = teacher.parameters()
     print(f"{'tensor':40s} {'relative residual':>17s} {'retained energy':>15s}")
     for name, res in results.items():
         rel = res.residual / max(float(np.linalg.norm(dense[name].value)), 1e-300)
         print(f"{name:40s} {rel:17.3e} {res.retained_energy:15.6f}")
+    student_n = sum(m.size for name, m in store.items() if counted(name))
+    teacher_n = sum(t.value.size for name, t in dense.items() if counted(name))
+    print(f"entries without the task head: student {student_n:,}, teacher {teacher_n:,}, "
+          f"compression factor {teacher_n / student_n:.2f}x")
     return EXIT_OK
 
 
@@ -125,15 +125,15 @@ def cmd_verify(args) -> int:
     except StoreError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if len(store) == 0:
-        print("verify: empty checkpoint, vacuously passing (warning)")
-        return EXIT_OK
     if args.arch:
         # a tensor that is missing, does not fit or is not used by the
         # architecture raises KeyError or ShapeError naming it; main()
         # reports either as exit 2
         model_from_store(store, ArchSpec.load(args.arch))
-    rng = make_rng(_seed_from(args))
+    if len(store) == 0:
+        print("verify: empty checkpoint, vacuously passing (warning)")
+        return EXIT_OK
+    rng = make_rng(args.seed)
     failures = []
     for name, m in store.items():
         if not np.all(np.isfinite(m)):
@@ -173,20 +173,20 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     arch = ArchSpec.load(args.arch)
     plan = _load_plan(args.plan, arch)
-    rng = make_rng(_seed_from(args))
+    rng = make_rng(args.seed)
     dtype = np.float32 if args.dtype == "f32" else np.float64
     s = args.seq_len
-    groups = [("attention", arch.hidden, arch.hidden, plan.attention_shape),
-              ("ffn1", arch.ffn_dim, arch.hidden, plan.ffn1_shape),
-              ("ffn2", arch.hidden, arch.ffn_dim, plan.ffn2_shape)]
     print(f"{'group':10s} {'path':6s} {'median_ms':>10s} {'iqr_ms':>10s} {'flops/vec':>12s}")
-    for label, rows, cols, shape in groups:
+    for label, shape in check_plan(arch, plan).items():
+        if label == "embedding":  # a row lookup, not a matvec
+            continue
+        rows, cols = shape.rows, shape.cols
         w = rng.standard_normal((rows, cols)).astype(dtype)
         a = rng.standard_normal((shape.m1, shape.n1)).astype(dtype)
         b = rng.standard_normal((shape.m2, shape.n2)).astype(dtype)
         x = rng.standard_normal((s, cols)).astype(dtype)  # one token per row, as in the model
         for path, fn, flops in (
-                ("dense", lambda: x @ w.T, (2 * cols - 1) * rows),
+                ("dense", lambda: x @ w.T, dense_matvec_flops(rows, cols)),
                 ("kron", lambda: kron_apply(a, b, x), kron_flops(shape))):
             times = []
             fn()  # warm up
@@ -208,7 +208,7 @@ def cmd_distill(args) -> int:
               "scope, use a toy architecture", file=sys.stderr)
         return EXIT_VALIDATION
     plan = _load_plan(args.plan, arch)
-    seed = _seed_from(args)
+    seed = args.seed
     if args.ablate:
         results = kd.run_ablation(arch, plan, seed=seed, student_steps=args.steps)
         print(f"{'pretrain':>9s} {'finetune':>9s} {'eval_ce':>9s} "
@@ -261,8 +261,9 @@ def cmd_report(args) -> int:
         fl = count_flops(arch, plan, args.seq_len)
         print(f"{label:24s} {p:14,} {dense / p:8.2f} {fl:16,}")
     print(FLOPS_CONVENTION)
-    print("Parameter convention: weights, embeddings, layernorm and pooler per the "
-          "architecture flags; this config "
+    print("Parameter convention: every checkpoint entry of the architecture (segment "
+          "embeddings and pooler per its flags) except the task head, which is not part of "
+          "the compressed model; this config "
           + ("includes" if arch.has_biases else "excludes") + " bias vectors.")
     return EXIT_OK
 
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("--arch")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="time dense vs factorized matmul paths")
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--dtype", choices=("f32", "f64"), default="f64")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("distill", help="two-stage KD training at toy scale")
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", choices=kd.STAGES, default="finetune_kd")
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="student.kts")
     p.add_argument("--history")
     p.add_argument("--ablate", action="store_true")
@@ -326,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the value each numeric flag must exceed, checked before any command runs
-FLAG_FLOORS = {"ratio": 1, "seq_len": 0, "iters": 0, "steps": 0, "teacher_steps": -1, "tol": 0}
+FLAG_FLOORS = {"ratio": 1, "seq_len": 0, "iters": 0, "steps": 0, "teacher_steps": -1, "tol": 0,
+               "seed": -1}
 
 
 def main(argv=None) -> int:

@@ -12,9 +12,9 @@ softmax @ V over blocks of score slices, with values bit-identical to the
 unblocked pass.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
-checkpoint name to a tensor. :func:`layout` is the one definition of that
-naming and order; construction, loading, saving and the forward pass all
-walk it.
+checkpoint name to a tensor. ``planner.layout`` is the one definition of
+that naming and order; construction, loading, saving and the parameter and
+FLOP counts all walk it.
 """
 
 from __future__ import annotations
@@ -27,43 +27,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .kron import FactorShape
 from .nkp import NkpResult, nearest_kronecker
-from .planner import ArchSpec, CompressionPlan
+from .planner import ArchSpec, CompressionPlan, check_plan, layout
 from .tensor import NamedTensorStore, ShapeError
 
 # With no graph to record, the forward holds at most one block of these:
 _ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per softmax @ V block
 _FFN_BLOCK = 1 << 19        # FFN hidden elements (4 MiB of float64) per row block
-
-# ------------------------------------------------------------------- layout
-
-def layout(arch: ArchSpec):
-    """Every checkpoint slot in checkpoint order, as ``(name, rows, cols, group)``.
-
-    A slot with a plan group (``embedding``, ``attention``, ``ffn1``,
-    ``ffn2``) is a weight matrix stored either dense as ``{name}.dense`` or
-    factored as the pair :func:`factor_names` gives. Any other slot is
-    stored under its own name; ``rows`` None marks a vector of length
-    ``cols``, stored as a 1 x cols matrix.
-    """
-    d, f = arch.hidden, arch.ffn_dim
-    yield "embedding", arch.vocab_size, d, "embedding"
-    yield "embedding.position", arch.max_seq_len, d, None
-    yield "embedding.ln.gamma", None, d, None
-    yield "embedding.ln.beta", None, d, None
-    for i in range(arch.layers):
-        p = f"layer.{i}"
-        for w in ("wq", "wk", "wv", "wo"):
-            yield f"{p}.attn.{w}", d, d, "attention"
-        for b in ("bq", "bk", "bv", "bo", "ln.gamma", "ln.beta"):
-            yield f"{p}.attn.{b}", None, d, None
-        yield f"{p}.ffn.w1", f, d, "ffn1"
-        yield f"{p}.ffn.w2", d, f, "ffn2"
-        yield f"{p}.ffn.b1", None, f, None
-        for b in ("b2", "ln.gamma", "ln.beta"):
-            yield f"{p}.ffn.{b}", None, d, None
-    yield "head.weight", arch.num_classes, d, None
-    yield "head.bias", None, arch.num_classes, None
-
 
 def factor_names(slot: str) -> tuple[str, str]:
     """Checkpoint names of the (A, B) factors of a factored weight slot. The
@@ -80,7 +49,7 @@ def factor_names(slot: str) -> tuple[str, str]:
 class DenseWeight:
     w: Tensor  # out x in
 
-    def apply(self, x: Tensor, bias: Tensor, **epilogue) -> Tensor:
+    def apply(self, x: Tensor, bias: Tensor | None, **epilogue) -> Tensor:
         """``x @ W^T + bias`` and its epilogue (``ad.linear``) as one node."""
         return ad.linear(x, self.w, bias, **epilogue)
 
@@ -94,7 +63,7 @@ class KronWeight:
     def shape(self) -> FactorShape:
         return FactorShape(self.a.shape[0], self.a.shape[1], self.b.shape[0], self.b.shape[1])
 
-    def apply(self, x: Tensor, bias: Tensor, **epilogue) -> Tensor:
+    def apply(self, x: Tensor, bias: Tensor | None, **epilogue) -> Tensor:
         """Reconstruction-free ``x @ (A (x) B)^T + bias`` over the last axis,
         with its epilogue (``ad.linear``), as one node."""
         return ad.linear(x, (self.a, self.b), bias, **epilogue)
@@ -184,7 +153,7 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     dk = d // heads
 
     def project(w: str, **epilogue) -> Tensor:  # (b, s, heads, dk)
-        out = weight(params, f"{prefix}.w{w}").apply(x, params[f"{prefix}.b{w}"], **epilogue)
+        out = weight(params, f"{prefix}.w{w}").apply(x, params.get(f"{prefix}.b{w}"), **epilogue)
         return out.reshape(b, s, heads, dk)
 
     scores = (project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)   # (b, h, s, dk)
@@ -195,7 +164,7 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     else:
         ctx = _attention_context(scores.value, v.value)
     del v
-    return weight(params, f"{prefix}.wo").apply(ctx, params[f"{prefix}.bo"]), scores
+    return weight(params, f"{prefix}.wo").apply(ctx, params.get(f"{prefix}.bo")), scores
 
 
 def _attention_context(scores: np.ndarray, v: np.ndarray) -> Tensor:
@@ -220,7 +189,7 @@ def _attention_context(scores: np.ndarray, v: np.ndarray) -> Tensor:
     return Tensor(ctx.reshape(b, s, h * dk))
 
 
-def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int) -> Tensor:
     """Position-wise FFN of the ``{prefix}.*`` tensors with residual and post-LN.
 
     With no graph to record and more than ``_FFN_BLOCK / ffn_dim`` tokens,
@@ -229,13 +198,13 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     Every row is computed by the same operations either way.
     """
     w1, w2 = weight(params, f"{prefix}.w1"), weight(params, f"{prefix}.w2")
-    b1, b2 = params[f"{prefix}.b1"], params[f"{prefix}.b2"]
+    b1, b2 = params.get(f"{prefix}.b1"), params.get(f"{prefix}.b2")
     gamma, beta = params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"]
 
     def rows(x: Tensor) -> Tensor:  # the hidden is freed before the LayerNorm
         return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x), gamma, beta)
 
-    block = max(1, _FFN_BLOCK // b1.shape[0])
+    block = max(1, _FFN_BLOCK // ffn_dim)
     tokens = x.value.reshape(-1, x.shape[-1])
     if len(tokens) <= block or _records_graph(params, prefix, x):
         return rows(x)
@@ -255,21 +224,25 @@ def forward(model: TransformerModel, token_ids) -> ForwardTrace:
     b, s = ids.shape
     if s > model.arch.max_seq_len:
         raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
-    p = model.params
+    p, arch = model.params, model.arch
     x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"], np.arange(s))
+    if arch.has_segment_embeddings:              # every token is in segment 0
+        x = x + ad.gather_rows(p["embedding.segment"], [0])
     x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
     trace = ForwardTrace(E=x)
-    for i in range(model.arch.layers):
+    for i in range(arch.layers):
         attn = f"layer.{i}.attn"
-        a, scores = attention_forward(p, attn, x, model.arch.heads)
+        a, scores = attention_forward(p, attn, x, arch.heads)
         a = x + a                                # frees the projection
         x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
         del a                                    # before the FFN runs
         trace.attn_scores.append(scores)
         trace.attn_out.append(x)
-        x = ffn_forward(p, f"layer.{i}.ffn", x)
+        x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
         trace.ffn_out.append(x)
     pooled = x.mean(axis=1)                      # (batch, d)
+    if arch.has_pooler:
+        pooled = ad.tanh(ad.linear(pooled, p["pooler.weight"], p.get("pooler.bias")))
     trace.logits = ad.linear(pooled, p["head.weight"], p["head.bias"])
     return trace
 
@@ -277,7 +250,7 @@ def forward(model: TransformerModel, token_ids) -> ForwardTrace:
 # ------------------------------------------------------------- construction
 
 # init scale of the slots not scaled by 1/sqrt(fan-in)
-_INIT_SCALE = {"embedding": 0.1, "embedding.position": 0.02}
+_INIT_SCALE = {"embedding": 0.1, "embedding.position": 0.02, "embedding.segment": 0.02}
 
 
 def build_dense_model(arch: ArchSpec, rng: np.random.Generator) -> TransformerModel:
@@ -292,24 +265,6 @@ def build_dense_model(arch: ArchSpec, rng: np.random.Generator) -> TransformerMo
             value = value * _INIT_SCALE[slot] if slot in _INIT_SCALE else value / np.sqrt(cols)
         params[f"{slot}.dense" if group else slot] = ad.parameter(value)
     return TransformerModel(arch, params)
-
-
-def check_plan(arch: ArchSpec, plan: CompressionPlan) -> dict[str, FactorShape]:
-    """Each plan group's factor shape for ``arch``, embedding included; a
-    group that does not fit the architecture raises ``ShapeError`` naming it."""
-    d = arch.hidden
-    shapes = {"attention": plan.attention_shape, "ffn1": plan.ffn1_shape,
-              "ffn2": plan.ffn2_shape}
-    sizes = {group: (rows, cols) for _, rows, cols, group in layout(arch) if group}
-    for group, shape in shapes.items():
-        rows, cols = sizes[group]
-        if (shape.rows, shape.cols) != (rows, cols):
-            raise ShapeError(f"plan {group} shape is {shape.rows}x{shape.cols}, "
-                             f"the architecture's weight is {rows}x{cols}")
-    if d % plan.embedding_n != 0:
-        raise ShapeError(f"plan embedding_n={plan.embedding_n} does not divide {d}")
-    shapes["embedding"] = FactorShape(arch.vocab_size, d // plan.embedding_n, 1, plan.embedding_n)
-    return shapes
 
 
 def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,

@@ -1,23 +1,24 @@
-"""Factor-shape planning and whole-model parameter/FLOP accounting.
+"""Factor-shape planning, the model layout, and parameter/FLOP accounting.
 
-Accounting conventions (also emitted by the CLI report):
+:func:`layout` is the one description of what the model holds; every count
+walks it. Conventions (also emitted by the CLI report):
 
-* Parameters: token embedding, position/segment embeddings, layernorm
-  parameters, the four attention matrices, the two FFN matrices, and the
-  pooler weight, each gated by the ArchSpec flags. The published totals for
-  the compressed base model are only reproducible when bias vectors are
-  excluded, so the reproduction config ships with has_biases=false.
-* FLOPs: per-token linear-layer matvec costs times sequence length and layer
-  count, plus the factorized embedding reconstruction (d multiplies per
-  token). Attention score/context matmuls and softmax are identical between
-  the dense and factorized models and are excluded from the headline total,
-  matching the published table; they are still computed in the breakdown.
+* Parameters: every checkpoint entry except the task head (:func:`counted`),
+  a plan group counted as its factor pair. The published totals for the
+  compressed base model are only reproducible without bias vectors, so the
+  reproduction config ships with has_biases=false.
+* FLOPs: per-token matvec costs of the attention and FFN weights times
+  sequence length, plus the factorized embedding reconstruction (d
+  multiplies per token). Attention score/context matmuls and softmax are
+  identical between the dense and factorized models and are excluded from
+  the headline total, matching the published table; they are still computed
+  in the breakdown.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .kron import FactorShape, dense_matvec_flops, kron_flops
 from .tensor import ShapeError
@@ -75,11 +76,9 @@ class ArchSpec:
     heads: int
     ffn_dim: int
     max_seq_len: int
-    has_position_embeddings: bool = True
-    has_segment_embeddings: bool = True
-    has_layernorm: bool = True
+    has_segment_embeddings: bool = False
     has_biases: bool = True
-    has_pooler: bool = True
+    has_pooler: bool = False
     num_classes: int = 2
 
     def __post_init__(self):
@@ -91,21 +90,18 @@ class ArchSpec:
         return self.hidden // self.heads
 
     def to_json(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "hidden": self.hidden, "layers": self.layers,
-            "heads": self.heads, "ffn_dim": self.ffn_dim, "max_seq_len": self.max_seq_len,
-            "has_position_embeddings": self.has_position_embeddings,
-            "has_segment_embeddings": self.has_segment_embeddings,
-            "has_layernorm": self.has_layernorm, "has_biases": self.has_biases,
-            "has_pooler": self.has_pooler, "num_classes": self.num_classes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "ArchSpec":
         """Unknown keys are ignored; a missing dimension, a dimension that is
-        not a positive integer or a flag that is not a boolean raises
-        ShapeError naming the field."""
+        not a positive integer, a flag that is not a boolean, or
+        ``has_position_embeddings`` or ``has_layernorm`` other than true (the
+        model has no variant without them) raises ShapeError naming the field."""
         _require_object(d, "arch")
+        for name in ("has_position_embeddings", "has_layernorm"):
+            if d.get(name, True) is not True:
+                raise ShapeError(f"arch: field {name!r} must be true, got {d[name]!r}")
         kinds = {f.name: int if f.default is MISSING else type(f.default)
                  for f in fields(cls) if f.default is MISSING or f.name in d}
         return cls(**{name: json_field(d, name, "arch", kind) for name, kind in kinds.items()})
@@ -189,38 +185,75 @@ def enumerate_shapes(rows: int, cols: int) -> list[FactorShape]:
     return shapes
 
 
-# ---------------------------------------------------------------- parameters
+# ------------------------------------------------------------------- layout
 
-def _embedding_params(arch: ArchSpec, plan: CompressionPlan | None) -> int:
-    if plan is None:
-        return arch.vocab_size * arch.hidden
-    n = plan.embedding_n
-    return arch.vocab_size * (arch.hidden // n) + n
+def layout(arch: ArchSpec):
+    """Every checkpoint slot in checkpoint order, as ``(name, rows, cols, group)``.
 
-
-def params_breakdown(arch: ArchSpec, plan: CompressionPlan | None = None) -> dict[str, int]:
+    A slot with a plan group (``embedding``, ``attention``, ``ffn1``,
+    ``ffn2``) is a weight matrix stored either dense as ``{name}.dense`` or
+    factored as the pair ``model.factor_names`` gives. Any other slot is
+    stored under its own name; ``rows`` None marks a vector of length
+    ``cols``, stored as a 1 x cols matrix. The flags add the segment table
+    and the pooler, and drop every bias but the task head's.
+    """
     d, f = arch.hidden, arch.ffn_dim
-    out = {"token_embedding": _embedding_params(arch, plan)}
-    out["position_embedding"] = arch.max_seq_len * d if arch.has_position_embeddings else 0
-    out["segment_embedding"] = 2 * d if arch.has_segment_embeddings else 0
-    out["embedding_layernorm"] = 2 * d if arch.has_layernorm else 0
-    if plan is None:
-        attn_w, ffn_w = 4 * d * d, 2 * f * d
-    else:
-        attn_w = 4 * plan.attention_shape.param_count
-        ffn_w = plan.ffn1_shape.param_count + plan.ffn2_shape.param_count
-    per_layer = attn_w + ffn_w
-    if arch.has_biases:
-        per_layer += 4 * d + f + d
-    if arch.has_layernorm:
-        per_layer += 4 * d
-    out["encoder_layers"] = arch.layers * per_layer
-    out["pooler"] = (d * d + (d if arch.has_biases else 0)) if arch.has_pooler else 0
-    return out
+    attn_biases = ("bq", "bk", "bv", "bo") if arch.has_biases else ()
+    ffn_biases = (("b1", f), ("b2", d)) if arch.has_biases else ()
+    yield "embedding", arch.vocab_size, d, "embedding"
+    yield "embedding.position", arch.max_seq_len, d, None
+    if arch.has_segment_embeddings:
+        yield "embedding.segment", 2, d, None
+    yield "embedding.ln.gamma", None, d, None
+    yield "embedding.ln.beta", None, d, None
+    for i in range(arch.layers):
+        p = f"layer.{i}"
+        for w in ("wq", "wk", "wv", "wo"):
+            yield f"{p}.attn.{w}", d, d, "attention"
+        for b in attn_biases + ("ln.gamma", "ln.beta"):
+            yield f"{p}.attn.{b}", None, d, None
+        yield f"{p}.ffn.w1", f, d, "ffn1"
+        yield f"{p}.ffn.w2", d, f, "ffn2"
+        for b, n in ffn_biases + (("ln.gamma", d), ("ln.beta", d)):
+            yield f"{p}.ffn.{b}", None, n, None
+    if arch.has_pooler:  # dense, never factored
+        yield "pooler.weight", d, d, None
+        if arch.has_biases:
+            yield "pooler.bias", None, d, None
+    yield "head.weight", arch.num_classes, d, None
+    yield "head.bias", None, arch.num_classes, None
+
+
+def counted(name: str) -> bool:
+    """The head rule: the task head (``head.*``) is not part of the compressed
+    model, so no parameter count includes it."""
+    return not name.startswith("head.")
+
+
+def check_plan(arch: ArchSpec, plan: CompressionPlan) -> dict[str, FactorShape]:
+    """Each plan group's factor shape for ``arch``, embedding included; a
+    group that does not fit the architecture raises ``ShapeError`` naming it."""
+    d = arch.hidden
+    shapes = {"attention": plan.attention_shape, "ffn1": plan.ffn1_shape,
+              "ffn2": plan.ffn2_shape}
+    sizes = {group: (rows, cols) for _, rows, cols, group in layout(arch) if group}
+    for group, shape in shapes.items():
+        rows, cols = sizes[group]
+        if (shape.rows, shape.cols) != (rows, cols):
+            raise ShapeError(f"plan {group} shape is {shape.rows}x{shape.cols}, "
+                             f"the architecture's weight is {rows}x{cols}")
+    if d % plan.embedding_n != 0:
+        raise ShapeError(f"plan embedding_n={plan.embedding_n} does not divide {d}")
+    shapes["embedding"] = FactorShape(arch.vocab_size, d // plan.embedding_n, 1, plan.embedding_n)
+    return shapes
 
 
 def count_params(arch: ArchSpec, plan: CompressionPlan | None = None) -> int:
-    return sum(params_breakdown(arch, plan).values())
+    """Entries of the checkpoint of ``arch`` compressed by ``plan`` (dense
+    when None), less the task head."""
+    shapes = check_plan(arch, plan) if plan else {}
+    return sum(shapes[group].param_count if group in shapes else (rows or 1) * cols
+               for name, rows, cols, group in layout(arch) if counted(name))
 
 
 # --------------------------------------------------------------------- FLOPs
@@ -236,20 +269,15 @@ class FlopsBreakdown:
         return self.linear + self.embedding
 
 
-def _linear_flops_per_token(arch: ArchSpec, plan: CompressionPlan | None) -> int:
-    d, f = arch.hidden, arch.ffn_dim
-    if plan is None:
-        return 4 * dense_matvec_flops(d, d) + dense_matvec_flops(f, d) + dense_matvec_flops(d, f)
-    return (4 * kron_flops(plan.attention_shape)
-            + kron_flops(plan.ffn1_shape) + kron_flops(plan.ffn2_shape))
-
-
 def flops_breakdown(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int) -> FlopsBreakdown:
     if seq_len < 1:
         raise ShapeError(f"seq_len must be positive, got {seq_len}")
     d, dk, h, layers = arch.hidden, arch.head_dim, arch.heads, arch.layers
     s = seq_len
-    linear = layers * s * _linear_flops_per_token(arch, plan)
+    shapes = check_plan(arch, plan) if plan else {}
+    linear = s * sum(kron_flops(shapes[group]) if plan else dense_matvec_flops(rows, cols)
+                     for _, rows, cols, group in layout(arch)
+                     if group in ("attention", "ffn1", "ffn2"))
     embedding = 0 if plan is None else d * s  # one multiply per reconstructed element
     scores = layers * h * (s * s * (2 * dk - 1) + s * dk * (2 * s - 1))
     softmax = layers * h * s * s * SOFTMAX_FLOPS_PER_ELEMENT
@@ -284,7 +312,7 @@ def plan_for_ratio(arch: ArchSpec, target_ratio: float) -> CompressionPlan:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     d, f, layers, v = arch.hidden, arch.ffn_dim, arch.layers, arch.vocab_size
     dense_total = count_params(arch)
-    fixed = dense_total - (v * d + layers * (4 * d * d + 2 * f * d))
+    fixed = dense_total - sum(rows * cols for _, rows, cols, group in layout(arch) if group)
 
     att_opts = [(layers * 4 * s.param_count, layers * 4 * kron_flops(s), s)
                 for s in enumerate_shapes(d, d)]

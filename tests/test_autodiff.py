@@ -93,7 +93,7 @@ def test_nonlinearity_grads():
     x = ad.parameter(rng.standard_normal((3, 5)))
 
     def build():
-        return (ad.gelu(x) * ad.softmax_last(x)).mean()
+        return (ad.gelu(x) * ad.softmax_last(x)).mean() + ad.tanh(x).mean()
 
     fd_check(build, [x], rng)
 
@@ -119,7 +119,7 @@ LINEAR_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("epilogue", ["bias", "residual", "scale", "gelu"])
+@pytest.mark.parametrize("epilogue", ["bias", "no_bias", "residual", "scale", "gelu"])
 @pytest.mark.parametrize("kind", sorted(LINEAR_WEIGHTS))
 def test_linear_grads(kind, epilogue):
     width, shapes, out = LINEAR_WEIGHTS[kind]
@@ -129,11 +129,12 @@ def test_linear_grads(kind, epilogue):
     rng = make_rng(9)
     x = ad.parameter(rng.standard_normal((2, 3, width)))
     ws = [ad.parameter(rng.standard_normal(s)) for s in shapes]
-    bias = ad.parameter(rng.standard_normal(out))
+    bias = None if epilogue == "no_bias" else ad.parameter(rng.standard_normal(out))
     residual = ad.parameter(rng.standard_normal((2, 3, out)))
-    kwargs = {"bias": {}, "residual": {"residual": residual}, "scale": {"scale": 0.37},
-              "gelu": {"gelu": True}}[epilogue]
-    params = [x, *ws, bias] + ([residual] if epilogue == "residual" else [])
+    kwargs = {"bias": {}, "no_bias": {}, "residual": {"residual": residual},
+              "scale": {"scale": 0.37}, "gelu": {"gelu": True}}[epilogue]
+    params = [p for p in (x, *ws, bias) if p is not None] \
+        + ([residual] if epilogue == "residual" else [])
     c = ad.Tensor(rng.standard_normal((2, 3, out)))
     weight = ws[0] if kind == "dense" else tuple(ws)
 
@@ -148,7 +149,8 @@ def test_linear_grads(kind, epilogue):
     want = ad.Tensor(x.value @ wv[0].T if kind == "dense" else kron_apply(*wv, x.value))
     if epilogue == "residual":
         want = ad.Tensor(residual.value) + want
-    want = want + ad.Tensor(bias.value)
+    if bias is not None:
+        want = want + ad.Tensor(bias.value)
     if epilogue == "scale":
         want = want * kwargs["scale"]
     if epilogue == "gelu":
@@ -156,7 +158,8 @@ def test_linear_grads(kind, epilogue):
     frozen = {k: ad.Tensor(v.value) if isinstance(v, ad.Tensor) else v for k, v in kwargs.items()}
     frozen_weight = ad.Tensor(wv[0]) if kind == "dense" else tuple(map(ad.Tensor, wv))
     assert np.array_equal(ad.linear(x, weight, bias, **kwargs).value, want.value)
-    assert np.array_equal(ad.linear(ad.Tensor(x.value), frozen_weight, ad.Tensor(bias.value),
+    frozen_bias = None if bias is None else ad.Tensor(bias.value)
+    assert np.array_equal(ad.linear(ad.Tensor(x.value), frozen_weight, frozen_bias,
                                     **frozen).value, want.value)
 
 
@@ -209,7 +212,9 @@ GRAPH_OPS = {
     "linear": (lambda x, a, b, c, r: ad.linear(x, (a, b), c, residual=r, gelu=True),
                [(2, 6), (2, 3), (4, 2), (8,), (2, 8)]),
     "linear_dense": (lambda x, w, c: ad.linear(x, w, c, scale=0.5), [(2, 3), (4, 3), (4,)]),
+    "linear_no_bias": (lambda x, w: ad.linear(x, w), [(2, 3), (4, 3)]),
     "gelu": (ad.gelu, [(2, 3)]),
+    "tanh": (ad.tanh, [(2, 3)]),
     "softmax_last": (ad.softmax_last, [(2, 3)]),
     "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
     "cross_entropy": (lambda x: ad.cross_entropy(x, np.array([0, 2])), [(2, 3)]),

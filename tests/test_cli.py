@@ -267,6 +267,13 @@ def test_verify_empty_store_vacuous(tmp_path, capsys):
     assert "vacuously" in capsys.readouterr().out
 
 
+def test_verify_empty_store_against_arch_is_validation_error(tmp_path, capsys):
+    empty = tmp_path / "empty.kts"
+    NamedTensorStore().save(empty)
+    assert main(["verify", str(empty), "--arch", TOY_ARCH]) == 2
+    assert "checkpoint is missing tensor 'embedding.dense'" in capsys.readouterr().err
+
+
 def test_verify_bad_file_is_validation_error(tmp_path):
     junk = tmp_path / "junk.kts"
     junk.write_bytes(b"not a checkpoint at all")
@@ -310,6 +317,9 @@ def test_bench_non_positive_iters_is_validation_error(iters, capsys):
     ["verify", "--tol", "inf"],
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "0"],
+    ["verify", "--seed", "-1"],
+    ["bench", TOY_SHAPES, "--arch", TOY_ARCH, "--seed", "-2"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--seed", "-1"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_store, capsys):
     out = tmp_path / "student.kts"
@@ -318,7 +328,8 @@ def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_s
     if argv[0] == "distill":
         argv = [*argv, "--teacher", str(teacher_store), "--out", str(out)]
     assert main(argv) == 2
-    flag = next(a for a in argv if a in ("--seq-len", "--steps", "--teacher-steps", "--tol"))
+    flag = next(a for a in argv
+                if a in ("--seq-len", "--steps", "--teacher-steps", "--tol", "--seed"))
     assert f"{argv[0]}: {flag} must be a finite number above" in capsys.readouterr().err
     assert not out.exists()
 
@@ -396,6 +407,7 @@ def test_invalid_arch_json_is_validation_error(tmp_path, capsys):
             (toy | {"hidden": "32"}, "arch: field 'hidden' must be a positive integer, got '32'"),
             (toy | {"heads": 0}, "field 'heads' must be a positive integer"),
             (toy | {"has_biases": "false"}, "field 'has_biases' must be true or false"),
+            (toy | {"has_layernorm": False}, "field 'has_layernorm' must be true, got False"),
             ([toy], "arch: expected a JSON object, got list")):
         arch = tmp_path / "arch.json"
         arch.write_text(json.dumps(payload))
@@ -428,6 +440,12 @@ def test_pipeline_at_bert_width(tmp_path, capsys, shapes):
                  "--out", str(plan_path)]) == 0
     assert main(["compress", str(dense_path), str(plan_path), "--arch", str(arch_path),
                  "--out", str(out)]) == 0
+    compressed_line = capsys.readouterr().out.splitlines()[-1]
+    # the measured size is what report counts for the same arch and plan
+    assert main(["report", "--arch", str(arch_path), "--shapes", str(plan_path)]) == 0
+    _, params, factor, _ = capsys.readouterr().out.splitlines()[2].split()
+    assert compressed_line.startswith(f"entries without the task head: student {params}, ")
+    assert compressed_line.endswith(f"compression factor {factor}x")
     assert main(["verify", str(out), "--arch", str(arch_path)]) == 0
     capsys.readouterr()
     # the CLI writes exactly what the library path writes

@@ -17,6 +17,7 @@ from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
 
 from conftest import config_path
 from oracles import FlopCounter, kron_embed_oracle
+from test_autodiff import fd_check
 
 TOY = ArchSpec.load(config_path("toy.json"))
 PLAN = make_plan(TOY, (16, 16), (8, 4), 4)
@@ -272,6 +273,28 @@ def test_checkpoint_bytes_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
 
+def test_segment_table_and_pooler():
+    arch = replace(TOY, has_biases=False, has_segment_embeddings=True, has_pooler=True)
+    model = build_dense_model(arch, make_rng(27))
+    names = list(model.params)
+    assert names[1:3] == ["embedding.position", "embedding.segment"]
+    assert names[-3:] == ["pooler.weight", "head.weight", "head.bias"]
+    assert not any(re.search(r"\.b[qkvo12]$", name) for name in names)
+    ids = make_rng(28).integers(0, arch.vocab_size, size=(2, 4))
+    trace = forward(model, ids)
+    # every token gets segment row 0; the pooler is tanh(W mean(x)), no bias
+    v = {name: t.value for name, t in model.params.items()}
+    e = v["embedding.dense"][ids] + v["embedding.position"][:4] + v["embedding.segment"][0]
+    e = (e - e.mean(-1, keepdims=True)) / np.sqrt(e.var(-1, keepdims=True) + 1e-6)
+    assert np.allclose(trace.E.value, e * v["embedding.ln.gamma"] + v["embedding.ln.beta"])
+    pooled = np.tanh(trace.ffn_out[-1].value.mean(axis=1) @ v["pooler.weight"].T)
+    assert np.allclose(trace.logits.value, pooled @ v["head.weight"].T + v["head.bias"])
+    labels = np.array([0, 1])
+    fd_check(lambda: ad.cross_entropy(forward(model, ids).logits, labels),
+             [model.params["pooler.weight"], model.params["embedding.segment"]],
+             make_rng(29), samples=16)
+
+
 # ------------------------------------------------------------ frozen forward
 
 def _trace_tensors(trace):
@@ -294,9 +317,11 @@ def test_frozen_forward_keeps_no_graph():
 
 @pytest.fixture(scope="module")
 def bert_models():
-    """A one-layer BERT-width dense teacher with nonzero biases and LayerNorm
-    shifts, and its kron8 and kron19 students, all frozen."""
-    arch = replace(ArchSpec.load(config_path("bert_base.json")), layers=1, vocab_size=512)
+    """A one-layer BERT-width dense teacher with a segment table, a pooler,
+    nonzero biases and LayerNorm shifts, and its kron8 and kron19 students,
+    all frozen."""
+    arch = replace(ArchSpec.load(config_path("bert_base.json")), layers=1, vocab_size=512,
+                   has_biases=True)
     teacher = build_dense_model(arch, make_rng(23))
     rng = make_rng(25)
     for t in teacher.parameters().values():

@@ -1,19 +1,22 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 
 from kronekit.kron import FactorShape, dense_matvec_flops, kron_flops
+from kronekit.model import build_dense_model, init_student_from_teacher, model_to_store
 from kronekit.planner import (ArchSpec, CompressionPlan, PlanInfeasibleError,
                               count_flops, count_params, enumerate_shapes,
-                              flops_breakdown, make_plan, params_breakdown,
-                              plan_for_ratio, swap_shape)
-from kronekit.tensor import ShapeError
+                              flops_breakdown, make_plan, plan_for_ratio, swap_shape)
+from kronekit.tensor import ShapeError, make_rng
 
 from conftest import config_path
 
 BERT = ArchSpec.load(config_path("bert_base.json"))
 TOY = ArchSpec.load(config_path("toy.json"))
+# BERT width with a segment table, a pooler and no biases, as bert_base.json
+BERT_1 = replace(BERT, layers=1, vocab_size=512)
 
 
 def bert_plan(attention, ffn1, n):
@@ -79,25 +82,35 @@ def test_enumerate_shapes_validation():
 
 # ------------------------------------------------------------------- params
 
-def test_params_breakdown_toy_by_hand():
-    d, f, v = TOY.hidden, TOY.ffn_dim, TOY.vocab_size
-    br = params_breakdown(TOY)
-    assert br["token_embedding"] == v * d
-    assert br["position_embedding"] == TOY.max_seq_len * d
-    assert br["segment_embedding"] == 0        # toy config drops segments
-    assert br["embedding_layernorm"] == 2 * d
-    per_layer = 4 * d * d + 2 * f * d + (4 * d + f + d) + 4 * d
-    assert br["encoder_layers"] == TOY.layers * per_layer
-    assert br["pooler"] == 0
+@pytest.fixture(scope="module")
+def teachers():
+    return {"toy": build_dense_model(TOY, make_rng(0)),
+            "bert_1": build_dense_model(BERT_1, make_rng(0))}
 
 
-def test_params_factorized_embedding_accounting():
-    plan = bert_plan((384, 384), (8, 2), 8)
-    br = params_breakdown(BERT, plan)
-    assert br["token_embedding"] == BERT.vocab_size * (BERT.hidden // 8) + 8
+@pytest.mark.parametrize("arch_name, shapes", [
+    ("toy", None), ("toy", "toy_shapes.json"), ("bert_1", None),
+    ("bert_1", "kron8_shapes.json"), ("bert_1", "kron19_shapes.json")])
+def test_count_params_equals_checkpoint_entries(teachers, arch_name, shapes):
+    # the count is the entries of the model's own checkpoint less the task head
+    model, plan = teachers[arch_name], None
+    if shapes is not None:
+        with open(config_path(shapes)) as fh:
+            s = json.load(fh)
+        plan = make_plan(model.arch, s["attention"], s["ffn1"], s["embedding_n"])
+        model, _ = init_student_from_teacher(model, plan)
+    entries = sum(m.size for name, m in model_to_store(model).items()
+                  if not name.startswith("head."))
+    assert count_params(model.arch, plan) == entries
 
 
 def test_count_params_reference_totals():
+    # toy: embedding, position, embedding LN, then per layer the weights,
+    # biases and two LNs; no segment table, no pooler, no head
+    d, f = 32, 64
+    assert count_params(TOY) == 64 * d + 16 * d + 2 * d + 2 * (
+        4 * d * d + 2 * f * d + 4 * d + f + d + 4 * d)
+
     # dense: 30522*768 + 512*768 + 2*768 + 2*768 + 12*(4*768^2 + 2*3072*768
     # + 4*768) + 768^2 (bias-free accounting per the config flags)
     assert count_params(BERT) == 109_398_528
