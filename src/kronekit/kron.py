@@ -10,8 +10,13 @@ which factor is smaller (:func:`kron_layout`):
 - A no larger than B (m1*n1 <= m2*n2, the FFN shapes): one broadcast
   ``np.matmul(A, Z)`` over the T matrices Z_t, which are already laid out
   for it, so the kernel makes no copy besides the two GEMM outputs.
-- A larger than B (the attention shapes): one flat GEMM against A^T with an
-  axis swap before it and one after; a broadcast of a large A runs slower.
+- A larger than B (the attention shapes): one flat GEMM against A^T; a
+  broadcast of a large A runs slower. Applied first, B is the left factor
+  of its GEMM, so it writes the rows of B X_t^T (Van Loan, "The ubiquitous
+  Kronecker product", 2000) straight in the layout that the A GEMM reads.
+  The B product is freed before the output is allocated, and the A product
+  is interleaved into the output one column of each A X_t B^T per row of
+  B, so no more than two output-sized arrays are live at once.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     Row t of ``x``, read row-major as X_t in n1 x n2, maps to A X_t B^T read
     row-major. B is one flat 2-D GEMM over all T rows. A small A is applied
     to every X_t by one broadcast matmul, with no copy; a large A is one
-    flat GEMM between two axis swaps.
+    flat GEMM whose product is interleaved into the output, which keeps the
+    dtype of the GEMMs.
     """
     (m1, n1), (m2, n2) = a.shape, b.shape
     x = np.asarray(x)
@@ -125,13 +131,16 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     lead = x.shape[:-1]
     t = math.prod(lead)
     order, broadcast_a = kron_layout(FactorShape(m1, n1, m2, n2))
-    if order == "b_first":
+    if order == "b_first" and broadcast_a:
         z = x.reshape(t * n1, n2) @ b.T                              # rows of X_t B^T
-        if broadcast_a:
-            y = np.matmul(a, z.reshape(t, n1, m2))                   # A X_t B^T
-        else:
-            z = z.reshape(t, n1, m2).swapaxes(1, 2).reshape(t * m2, n1)  # rows of B X_t^T
-            y = (z @ a.T).reshape(t, m2, m1).swapaxes(1, 2)          # A X_t B^T
+        y = np.matmul(a, z.reshape(t, n1, m2))                       # A X_t B^T
+    elif order == "b_first":
+        z = b @ x.reshape(t * n1, n2).T                              # [k, (s, j)]: (B X_s^T)[k, j]
+        w = z.reshape(m2 * t, n1) @ a.T                              # [(k,s), i]: (A X_s B^T)[i, k]
+        del z
+        y = np.empty((t, m1, m2), dtype=w.dtype)
+        for k, col in enumerate(w.reshape(m2, t, m1)):
+            y[:, :, k] = col                                         # column k of each A X_s B^T
     else:
         if broadcast_a:
             z = np.matmul(a, x.reshape(t, n1, n2))                   # A X_t

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,13 +139,15 @@ def test_kron_apply_matches_reconstruction_property():
         a = rng.standard_normal((s.m1, s.n1))
         b = rng.standard_normal((s.m2, s.n2))
         x = rng.standard_normal((*lead, s.cols))
-        got = kron_apply(a, b, x)
         want = x @ np.kron(a, b).T
-        assert got.shape == (*lead, s.rows)
-        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
+        # the same factors as transposed views, as ad.linear's backward passes them
+        for fa, fb in ((a, b), (np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T)):
+            got = kron_apply(fa, fb, x)
+            assert got.shape == (*lead, s.rows)
+            assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
 
     check()
-    # both association orders, each with A broadcast (small A) and swapped
+    # both association orders, each with A broadcast (small A) and flat
     assert seen_layouts == {(order, small_a) for order in ("b_first", "a_first")
                             for small_a in (True, False)}
 
@@ -162,6 +165,43 @@ PLAN_LAYOUTS = {
         ("ffn2", FactorShape(2, 16, 384, 192), ("a_first", True)),
     ],
 }
+
+
+# one shape of each layout: b_first then a_first, each with A broadcast then flat
+FOUR_LAYOUTS = [FactorShape(8, 2, 4, 4), FactorShape(4, 4, 2, 2),
+                FactorShape(2, 8, 4, 4), FactorShape(2, 8, 3, 3)]
+
+
+def test_kron_apply_keeps_float32():
+    rng = make_rng(8)
+    assert {kron_layout(s) for s in FOUR_LAYOUTS} == {
+        (order, small_a) for order in ("b_first", "a_first") for small_a in (True, False)}
+    for s in FOUR_LAYOUTS:
+        a = rng.standard_normal((s.m1, s.n1)).astype(np.float32)
+        b = rng.standard_normal((s.m2, s.n2)).astype(np.float32)
+        x = rng.standard_normal((2, 3, s.cols)).astype(np.float32)
+        got = kron_apply(a, b, x)
+        assert got.dtype == np.float32, s
+        assert np.allclose(got, x @ np.kron(a, b).T, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("shape", sorted(
+    {shape for rows in PLAN_LAYOUTS.values() for _, shape, _ in rows}
+    | {FactorShape(16, 16, 2, 2)}),
+    ids=lambda s: f"{s.m1}x{s.n1}-{s.m2}x{s.n2}")
+def test_kron_apply_peak_memory(shape):
+    # at most two output-sized arrays live at once: the A product and the output
+    rng = make_rng(9)
+    a = rng.standard_normal((shape.m1, shape.n1))
+    b = rng.standard_normal((shape.m2, shape.n2))
+    x = rng.standard_normal((1024, shape.cols))
+    tracemalloc.start()
+    try:
+        y = kron_apply(a, b, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * y.nbytes + 64 * 1024, f"{peak / y.nbytes:.2f}x the output"
 
 
 @pytest.mark.parametrize("plan_file", sorted(PLAN_LAYOUTS))
