@@ -8,8 +8,9 @@ batched; single sequences become a batch of one.
 A forward that records a graph keeps what the backward needs. A forward with
 no graph (a frozen model) frees each activation at its last use and holds
 only the trace plus one block: the FFN runs over blocks of token rows and
-softmax @ V over blocks of score slices, with values bit-identical to the
-unblocked pass.
+attention over blocks of score slices, with values bit-identical to the
+unblocked pass. Its trace keeps each layer's scaled Q and K in place of the
+(batch, heads, seq, seq) score stack, which is formed only when read.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -31,7 +32,7 @@ from .planner import ArchSpec, CompressionPlan, check_plan, layout
 from .tensor import NamedTensorStore, ShapeError
 
 # With no graph to record, the forward holds at most one block of these:
-_ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per softmax @ V block
+_ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per attention block
 _FFN_BLOCK = 1 << 19        # FFN hidden elements (4 MiB of float64) per row block
 
 def factor_names(slot: str) -> tuple[str, str]:
@@ -97,8 +98,9 @@ class ForwardTrace:
     """Everything the distillation losses need from one forward pass.
 
     All tensors carry a leading batch axis. attn_scores holds the pre-softmax
-    scaled score stacks (batch, heads, seq, seq) per layer; attn_out and
-    ffn_out hold the post-LN sublayer outputs (batch, seq, d).
+    scaled score stacks (batch, heads, seq, seq) per layer; a frozen forward
+    keeps each as a :class:`FrozenScores` that forms it on first read.
+    attn_out and ffn_out hold the post-LN sublayer outputs (batch, seq, d).
     """
 
     E: Tensor
@@ -144,8 +146,10 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     All heads run as one batch over (batch, heads, seq, d_k) views of Q, K
     and V. Q is scaled by 1/sqrt(d_k) before the scores matmul; for a d_k
     that is a power of four (16, 64) that equals scaling the scores, exactly.
-    Q and K are dropped once the scores exist, V once the context does. With
-    no graph to record, the context is built by :func:`_attention_context`.
+    With a graph to record, Q and K are dropped once the scores exist, V once
+    the context does. With none, the context is built by
+    :func:`_attention_context` and the scores are returned as
+    :class:`FrozenScores`, which keeps Q and K in place of the stack.
     """
     b, s, d = x.shape
     if d % heads != 0:
@@ -156,36 +160,69 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
         out = weight(params, f"{prefix}.w{w}").apply(x, params.get(f"{prefix}.b{w}"), **epilogue)
         return out.reshape(b, s, heads, dk)
 
-    scores = (project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)   # (b, h, s, dk)
-              @ project("k").permute(0, 2, 3, 1))                         # (b, h, dk, s)
-    v = project("v").permute(0, 2, 1, 3)
+    q = project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)  # (b, h, s, dk)
+    k = project("k").permute(0, 2, 3, 1)                           # (b, h, dk, s)
     if _records_graph(params, prefix, x):
+        scores = q @ k
+        v = project("v").permute(0, 2, 1, 3)
         ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
     else:
-        ctx = _attention_context(scores.value, v.value)
-    del v
+        scores = FrozenScores(q.value, k.value)
+        ctx = _attention_context(q.value, k.value, project("v").permute(0, 2, 1, 3).value)
     return weight(params, f"{prefix}.wo").apply(ctx, params.get(f"{prefix}.bo")), scores
 
 
-def _attention_context(scores: np.ndarray, v: np.ndarray) -> Tensor:
-    """softmax(scores) @ v as a (b, s, h * dk) tensor with no graph.
+class FrozenScores(Tensor):
+    """The pre-softmax score stack ``q @ k`` of a frozen attention layer, kept
+    as its (b, h, s, dk) Q and (b, h, dk, s) K until ``.value`` is first read.
+
+    That read forms the stack by the same batched matmul the graph path runs
+    and keeps it in place of Q and K; ``.shape`` never forms it. Like any
+    tensor with no graph, it has no parents and no backward."""
+
+    __slots__ = ("_qk",)
+
+    def __init__(self, q: np.ndarray, k: np.ndarray):
+        self._qk = q, k
+        self.grad, self.requires_grad, self._parents, self._backward = None, False, (), None
+
+    @property
+    def value(self) -> np.ndarray:
+        if self._qk is not None:
+            Tensor.value.__set__(self, np.matmul(*self._qk))
+            self._qk = None
+        return Tensor.value.__get__(self)
+
+    @property
+    def shape(self):
+        if self._qk is None:
+            return self.value.shape
+        q, k = self._qk
+        return (*q.shape[:-1], k.shape[-1])
+
+
+def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
+    """softmax(q @ k) @ v as a (b, s, h * dk) tensor with no graph.
 
     Runs over blocks of whole (seq x seq) score slices, one batch row's
-    heads at a time or several whole batch rows, so only one block of
-    probabilities exists at once. Each block's product is written through a
-    (b, h, s, dk) view of the (b, s, h, dk) output, so no permuted copy is
-    made; every slice is the same GEMM as in the unblocked product.
+    heads at a time or several whole batch rows. Each block's scores are
+    written into one reused block buffer, so only one block of scores and
+    one of probabilities exist at once. Each block's product is written
+    through a (b, h, s, dk) view of the (b, s, h, dk) output, so no permuted
+    copy is made; every slice is the same GEMM as in the unblocked product.
     """
     b, h, s, dk = v.shape
     heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
     rows_per = max(1, _ATTENTION_BLOCK // (h * s * s)) if heads_per == h else 1
     ctx = np.empty((b, s, h, dk))
+    buf = np.empty((min(b, rows_per), heads_per, s, s))
     ctx_heads = ctx.transpose(0, 2, 1, 3)
     for i in range(0, b, rows_per):
         for j in range(0, h, heads_per):
             blk = np.s_[i:i + rows_per, j:j + heads_per]
-            probs = ad.softmax_last(Tensor(scores[blk])).value
-            np.matmul(probs, v[blk], out=ctx_heads[blk])
+            qb = q[blk]
+            scores = np.matmul(qb, k[blk], out=buf[:qb.shape[0], :qb.shape[1]])
+            np.matmul(ad.softmax_last(Tensor(scores)).value, v[blk], out=ctx_heads[blk])
     return Tensor(ctx.reshape(b, s, h * dk))
 
 

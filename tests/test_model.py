@@ -377,27 +377,13 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
                 assert np.array_equal(a.value, b.value)
 
 
-def test_frozen_forward_peak_memory(bert_models):
-    # A frozen forward holds its trace plus about two (tokens x hidden)
-    # float64 arrays at most. At (3, 180) tokens one such array is 3.3 MB and
-    # the trace 19.3 MB; the kron8 student peaks 2.0 of them past the trace
-    # (dense 1.6, kron19 1.7). It peaked 8.3 past it when each forward held
-    # q, k, v, the whole probability stack and the FFN hidden to the end of
-    # their sublayer.
-    ids = make_rng(26).integers(0, 512, size=(3, 180))
-    model = bert_models["kron8"]
-    forward(model, ids)  # first-call allocations stay out of the count
-    tracemalloc.start()
-    try:
-        trace = forward(model, ids)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    trace_bytes = sum(t.value.nbytes for t in _trace_tensors(trace))
-    assert peak <= trace_bytes + 3 * ids.size * model.arch.hidden * 8
+def _held_bytes(trace):
+    """Bytes of the arrays a frozen trace holds, read without forming its
+    deferred score stacks: each score entry holds its Q and K."""
+    arrays = [t.value for t in (trace.E, *trace.attn_out, *trace.ffn_out, trace.logits)]
+    arrays += [a for t in trace.attn_scores for a in t._qk]
+    return sum(a.nbytes for a in arrays)
 
-
-# ------------------------------------------------------ checkpoint memory
 
 def _traced_peak(fn):
     """The peak bytes tracemalloc saw allocated while ``fn()`` ran."""
@@ -408,6 +394,59 @@ def _traced_peak(fn):
     finally:
         tracemalloc.stop()
 
+
+def _frozen_peak(model, ids):
+    """The tracemalloc peak of a frozen forward and the trace it returns."""
+    forward(model, ids)  # first-call allocations stay out of the count
+    traces = []
+    return _traced_peak(lambda: traces.append(forward(model, ids))), traces[0]
+
+
+def test_frozen_forward_peak_memory(bert_models):
+    # A frozen forward holds its trace plus about two (tokens x hidden)
+    # float64 arrays at most. At (3, 180) tokens one such array is 3.3 MB;
+    # the trace (activations plus each layer's Q and K) is 16.6 MB and the
+    # kron8 student peaks 1.9 arrays past it. It peaked 8.3 past it when each
+    # forward held q, k, v, the whole probability stack and the FFN hidden to
+    # the end of their sublayer.
+    ids = make_rng(26).integers(0, 512, size=(3, 180))
+    model = bert_models["kron8"]
+    peak, trace = _frozen_peak(model, ids)
+    assert peak <= _held_bytes(trace) + 3 * ids.size * model.arch.hidden * 8
+
+
+def test_frozen_forward_forms_no_score_stack(bert_models):
+    # At (1, 384) one (1, 12, 384, 384) score stack is 14.2 MB, six
+    # (tokens x hidden) arrays; a frozen forward forms it one head at a time
+    # and its trace keeps Q and K, a third of its bytes.
+    ids = make_rng(27).integers(0, 512, size=(1, 384))
+    for model in bert_models.values():
+        peak, trace = _frozen_peak(model, ids)
+        assert peak <= _held_bytes(trace) + 3 * ids.size * model.arch.hidden * 8
+
+
+def test_frozen_scores_form_on_first_read(bert_models):
+    model = bert_models["kron19"]
+    arch = model.arch
+    ids = make_rng(30).integers(0, 512, size=(2, 64))
+    (want,) = forward(_trainable(model), ids).attn_scores
+    (got,) = forward(model, ids).attn_scores
+    assert got._parents == () and got._backward is None and not got.requires_grad
+    stack = 2 * arch.heads * 64 * 64 * 8
+    assert _traced_peak(lambda: got.shape) < stack
+    assert got.shape == (2, arch.heads, 64, 64) and got._qk is not None
+    assert np.array_equal(got.value, want.value)
+    assert got.value is got.value and got._qk is None
+    for s in (64, 384):  # whole batch rows, then single heads, per block
+        empty = np.zeros((0, s), dtype=np.int64)
+        for m in (model, _trainable(model)):
+            trace = forward(m, empty)
+            assert [t.shape for t in trace.attn_scores] == [(0, arch.heads, s, s)]
+            assert trace.attn_scores[0].value.shape == (0, arch.heads, s, s)
+            assert trace.logits.shape == (0, arch.num_classes)
+
+
+# ------------------------------------------------------ checkpoint memory
 
 @pytest.fixture(scope="module")
 def bert_checkpoints(bert_models, tmp_path_factory):
