@@ -16,8 +16,7 @@ import numpy as np
 
 from . import distill as kd
 from .kron import FactorShape, dense_matvec_flops, kron_apply, kron_flops
-from .model import (build_dense_model, factor_names, init_student_from_teacher,
-                    model_from_store, model_to_store)
+from .model import factor_names, init_student_from_teacher, model_from_store, model_to_store
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, check_plan, count_flops,
                       count_params, counted, flops_breakdown, json_field, make_plan,
                       plan_for_ratio)
@@ -120,11 +119,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        store = NamedTensorStore.load(args.checkpoint)
-    except StoreError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    store = NamedTensorStore.load(args.checkpoint)  # a StoreError is exit 2 in main()
     if args.arch:
         # a tensor that is missing, does not fit or is not used by the
         # architecture raises KeyError or ShapeError naming it; main()
@@ -221,12 +216,9 @@ def cmd_distill(args) -> int:
     data_rng = make_rng(seed)
     data = kd.make_synthetic_task(arch, 256, min(8, arch.max_seq_len), data_rng)
     if args.teacher:
-        teacher = model_from_store(NamedTensorStore.load(args.teacher), arch)
+        teacher = model_from_store(NamedTensorStore.load(args.teacher), arch).freeze()
     else:
-        teacher = build_dense_model(arch, make_rng(seed + 1))
-        kd.train(teacher, None, data,
-                 kd.TrainConfig(stage="no_kd", steps=args.teacher_steps, lr=0.3, seed=seed))
-    teacher.freeze()
+        teacher = kd.train_teacher(arch, data, seed, args.teacher_steps)
     t0 = time.perf_counter()
     try:
         student, _ = init_student_from_teacher(teacher, plan)

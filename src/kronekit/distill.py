@@ -5,8 +5,14 @@ score stacks, and the FFN sublayer outputs between student and teacher; the
 projection loss compares pooled last-layer features against the teacher's
 features mapped through a learnable square matrix P (initialized to the
 identity). The logits term is the mean squared error to the teacher's
-logits. The pre-training-style stage uses the intermediate terms only; the
-fine-tuning stage adds projection, logits, and task cross-entropy.
+logits. ``STAGES`` is the one per-stage rule: it maps each stage to the terms
+it computes, the intermediate ones for ``pretrain_kd``, all six for
+``finetune_kd`` and the task cross-entropy for ``no_kd``. Every stage updates
+every student parameter and the projection; a term the stage skips gives a
+zero gradient, and ``v - lr * 0.0`` is ``v`` bit for bit. The teacher forward
+runs only when a term reads it. ``train_teacher`` is the one teacher recipe
+(a dense draw from ``seed + 1``, ``no_kd`` SGD at lr 0.3, frozen), used by
+the CLI and ``run_ablation``.
 
 Training is plain SGD, single-threaded, and bit-deterministic for a fixed
 seed. History rows deliberately carry no timestamps so replays are
@@ -22,12 +28,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import ForwardTrace, TransformerModel, forward
+from .model import (ForwardTrace, TransformerModel, build_dense_model, forward,
+                    init_student_from_teacher)
 from .planner import ArchSpec
 
-STAGES = ("pretrain_kd", "finetune_kd", "no_kd")
 INTERMEDIATE_COMPONENTS = ("embedding", "attention", "ffn")
 ALL_COMPONENTS = ("embedding", "attention", "ffn", "projection", "logits", "ce")
+STAGES = {"pretrain_kd": INTERMEDIATE_COMPONENTS, "finetune_kd": ALL_COMPONENTS,
+          "no_kd": ("ce",)}
 BATCH_SIZE = 8
 
 
@@ -76,11 +84,7 @@ class TrainConfig:
 
     @property
     def components(self) -> tuple[str, ...]:
-        if self.stage == "pretrain_kd":
-            return INTERMEDIATE_COMPONENTS
-        if self.stage == "no_kd":
-            return ("ce",)
-        return ALL_COMPONENTS
+        return STAGES[self.stage]
 
 
 def _check_pair(name: str, s: Tensor, t: Tensor) -> None:
@@ -94,6 +98,15 @@ def _pool(x: Tensor) -> Tensor:
 
 def _zero() -> Tensor:
     return Tensor(0.0)
+
+
+def _layer_mse(name: str, student: list[Tensor], teacher: list[Tensor]) -> Tensor:
+    """Sum over layers of the MSE between paired per-layer features."""
+    total = _zero()
+    for i, (s, t) in enumerate(zip(student, teacher)):
+        _check_pair(f"layer {i} {name}", s, t)
+        total = total + ad.mse(s, t)
+    return total
 
 
 def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
@@ -111,15 +124,9 @@ def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
         _check_pair("embedding output", st.E, tt.E)
         emb = ad.mse(st.E, tt.E)
     if "attention" in components:
-        att = _zero()
-        for i, (so, to) in enumerate(zip(st.attn_scores, tt.attn_scores)):
-            _check_pair(f"layer {i} attention scores", so, to)
-            att = att + ad.mse(so, to)
+        att = _layer_mse("attention scores", st.attn_scores, tt.attn_scores)
     if "ffn" in components:
-        ffn_l = _zero()
-        for i, (sh, th) in enumerate(zip(st.ffn_out, tt.ffn_out)):
-            _check_pair(f"layer {i} ffn output", sh, th)
-            ffn_l = ffn_l + ad.mse(sh, th)
+        ffn_l = _layer_mse("ffn output", st.ffn_out, tt.ffn_out)
     if "projection" in components:
         if proj is None:
             raise ValueError("projection component requires a projection matrix")
@@ -166,29 +173,20 @@ def make_synthetic_task(arch: ArchSpec, n: int, seq_len: int,
     return ids, labels
 
 
-def _trainable(student: TransformerModel, proj: Tensor, cfg: TrainConfig) -> dict[str, Tensor]:
-    params = student.parameters()
-    if cfg.stage == "pretrain_kd":
-        params.pop("head.weight")
-        params.pop("head.bias")
-    elif cfg.stage == "finetune_kd":
-        params["projection.p"] = proj
-    return params
-
-
 def train(student: TransformerModel, teacher: TransformerModel | None,
           data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
           proj: Tensor | None = None) -> list[dict]:
-    """SGD over the configured loss mask; returns the per-step history.
+    """SGD over the stage's loss terms; returns the per-step history.
 
     The teacher is used read-only. May be None for the plain-CE stage.
     """
-    if cfg.stage != "no_kd" and teacher is None:
+    reads_teacher = cfg.components != ("ce",)
+    if reads_teacher and teacher is None:
         raise ValueError(f"stage {cfg.stage} needs a teacher")
     inputs, labels = data
     if proj is None:
         proj = make_projection(student.arch.hidden)
-    params = _trainable(student, proj, cfg)
+    params = {**student.parameters(), "projection.p": proj}
     order = sorted(params)  # fixed update order for bitwise replay
     rng = np.random.default_rng(cfg.seed)
     n = len(inputs)
@@ -198,10 +196,7 @@ def train(student: TransformerModel, teacher: TransformerModel | None,
         idx = rng.choice(n, size=min(BATCH_SIZE, n), replace=False)
         batch_ids, batch_labels = inputs[idx], labels[idx]
         st = forward(student, batch_ids)
-        if teacher is not None:
-            tt = forward(teacher, batch_ids)
-        else:
-            tt = st  # unused: no_kd computes only the CE term
+        tt = forward(teacher, batch_ids) if reads_teacher else st  # CE reads only st
         bundle = kd_losses(st, tt, proj=proj, labels=batch_labels,
                            components=cfg.components)
         record = {"step": step, **bundle.floats()}
@@ -229,6 +224,15 @@ def write_history(history: list[dict], path) -> None:
             fh.write("\n")
 
 
+def train_teacher(arch: ArchSpec, data: tuple[np.ndarray, np.ndarray], seed: int,
+                  steps: int) -> TransformerModel:
+    """The dense teacher: drawn from ``seed + 1``, trained with plain CE at
+    lr 0.3 on ``data`` with ``seed``, and returned frozen."""
+    teacher = build_dense_model(arch, np.random.default_rng(seed + 1))
+    train(teacher, None, data, TrainConfig(stage="no_kd", steps=steps, lr=0.3, seed=seed))
+    return teacher.freeze()
+
+
 # -------------------------------------------------------- evaluation helpers
 
 REGIMES = (("none", "no_kd"), ("none", "kd"), ("kd", "no_kd"), ("kd", "kd"))
@@ -237,62 +241,53 @@ REGIMES = (("none", "no_kd"), ("none", "kd"), ("kd", "no_kd"), ("kd", "kd"))
 def run_ablation(arch: ArchSpec, plan, seed: int = 0, student_steps: int = 300) -> dict:
     """Four-regime {pretrain KD?} x {finetune KD?} comparison at toy scale.
 
-    The teacher trains on the full corpus; the pretraining KD stage reuses it
-    (intermediate losses need no labels), while the fine-tuning stage only
-    sees a small labeled subset, so plain CE fine-tuning overfits and the
-    teacher's features act as a regularizer. All regimes share the teacher,
-    the data, the student initialization, and the total step budget; only the
-    loss masks differ.
+    The teacher (``train_teacher``, 1500 steps) trains on the full corpus;
+    the pretraining KD stage reuses it (intermediate losses need no labels),
+    while the fine-tuning stage only sees a small labeled subset, so plain CE
+    fine-tuning overfits and the teacher's features act as a regularizer.
+    All regimes share the teacher, the data, the student initialization, and
+    the total step budget; only the stages differ.
 
     The recipe is fixed: 8-token sequences, a 256-sequence corpus whose first
-    48 are the task set, 256 held-out sequences; the teacher trains 1500 steps
-    at lr 0.3, KD stages at lr 0.08, plain CE fine-tuning at lr 0.3, clip 1.0.
+    48 are the task set, 256 held-out sequences; KD stages at lr 0.08, plain
+    CE fine-tuning at lr 0.3, clip 1.0. Returns ``eval_metrics`` of the
+    teacher and of each regime's student, keyed ``"<pretrain>/<finetune>"``.
     """
-    from .model import build_dense_model, init_student_from_teacher
-
     data_rng = np.random.default_rng(seed)
     corpus = make_synthetic_task(arch, 256, 8, data_rng)
     eval_data = make_synthetic_task(arch, 256, 8, data_rng)
     task_data = (corpus[0][:48], corpus[1][:48])
-
-    teacher = build_dense_model(arch, np.random.default_rng(seed + 1))
-    train(teacher, None, corpus, TrainConfig(stage="no_kd", steps=1500, lr=0.3, seed=seed))
-    teacher.freeze()
+    teacher = train_teacher(arch, corpus, seed, 1500)
 
     results = {"teacher": eval_metrics(teacher, teacher, eval_data), "regimes": {}}
     half = student_steps // 2
     for pretrain, finetune in REGIMES:
         student, _ = init_student_from_teacher(teacher, plan)
         proj = make_projection(arch.hidden)
-        history: list[dict] = []
         remaining = student_steps
         if pretrain == "kd":
-            history += train(student, teacher, corpus,
-                             TrainConfig(stage="pretrain_kd", steps=half, lr=0.08,
-                                         seed=seed + 3, clip=1.0), proj=proj)
+            train(student, teacher, corpus,
+                  TrainConfig(stage="pretrain_kd", steps=half, lr=0.08,
+                              seed=seed + 3, clip=1.0), proj=proj)
             remaining -= half
         stage = "finetune_kd" if finetune == "kd" else "no_kd"
         lr = 0.08 if finetune == "kd" else 0.3
-        history += train(student, teacher if finetune == "kd" else None, task_data,
-                         TrainConfig(stage=stage, steps=remaining, lr=lr,
-                                     seed=seed + 4, clip=1.0), proj=proj)
-        metrics = eval_metrics(student, teacher, eval_data)
+        train(student, teacher, task_data,
+              TrainConfig(stage=stage, steps=remaining, lr=lr, seed=seed + 4, clip=1.0),
+              proj=proj)
         results["regimes"][f"{pretrain}/{finetune}"] = {
-            "pretrain": pretrain, "finetune": finetune, **metrics,
-            "final_intermediate_loss": sum(
-                history[-1][c] for c in INTERMEDIATE_COMPONENTS) if history else None,
-        }
+            "pretrain": pretrain, "finetune": finetune,
+            **eval_metrics(student, teacher, eval_data)}
     return results
 
 
 def eval_metrics(student: TransformerModel, teacher: TransformerModel,
                  data: tuple[np.ndarray, np.ndarray]) -> dict[str, float]:
-    """Held-out task CE and MSE to the teacher's logits."""
+    """Held-out task CE, MSE to the teacher's logits, and accuracy."""
     inputs, labels = data
     st = forward(student, inputs)
-    tt = forward(teacher, inputs)
-    ce = ad.cross_entropy(st.logits.reshape(-1, st.logits.shape[-1]), labels)
-    logit_mse = ad.mse(st.logits, tt.logits)
+    losses = kd_losses(st, forward(teacher, inputs), labels=labels,
+                       components=("logits", "ce"))
     pred = st.logits.value.argmax(axis=-1)
-    return {"ce": float(ce.value), "teacher_logit_mse": float(logit_mse.value),
+    return {"ce": float(losses.ce.value), "teacher_logit_mse": float(losses.logits.value),
             "accuracy": float((pred == labels).mean())}

@@ -307,6 +307,11 @@ def plan_for_ratio(arch: ArchSpec, target_ratio: float) -> CompressionPlan:
 
     FLOP ties are broken toward the smallest parameter count, then the
     lexicographically smallest shapes, so the search is deterministic.
+    The FLOP minimum is the rank-one split (A a row, B a column) with
+    embedding row length d, and it is near the parameter minimum, so every
+    target up to its own ratio returns that one plan: on BERT-base, every
+    target up to 89.66 gives attention (1, 768, 768, 1), FFN1
+    (1, 768, 3072, 1) and ``embedding_n`` 768.
     """
     if target_ratio <= 1:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kronekit.cli import main
+from kronekit.cli import FLAG_FLOORS, build_parser, main
 from kronekit.model import (build_dense_model, forward, init_student_from_teacher,
                             model_from_store, model_to_store)
 from kronekit.planner import ArchSpec, CompressionPlan
@@ -332,6 +333,15 @@ def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_s
                 if a in ("--seq-len", "--steps", "--teacher-steps", "--tol", "--seed"))
     assert f"{argv[0]}: {flag} must be a finite number above" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_flag_floors_name_parser_options():
+    # main() reads each floor with getattr(args, name, None), so a key that
+    # is no option's dest would check nothing
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in subparsers.choices.values() for a in p._actions}
+    assert set(FLAG_FLOORS) <= dests
 
 
 def test_distill_refuses_large_arch(capsys):

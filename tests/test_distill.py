@@ -98,11 +98,36 @@ def test_pretrain_stage_freezes_head():
     student, _ = init_student_from_teacher(teacher, PLAN, rng=make_rng(8))
     head_before = student.params["head.weight"].value.copy()
     data = kd.make_synthetic_task(TOY, 16, 4, make_rng(9))
-    kd.train(student, teacher, data, kd.TrainConfig(stage="pretrain_kd", steps=3, lr=0.05))
+    proj = kd.make_projection(TOY.hidden)
+    proj_before = proj.value.copy()
+    kd.train(student, teacher, data, kd.TrainConfig(stage="pretrain_kd", steps=3, lr=0.05),
+             proj=proj)
     assert np.array_equal(student.params["head.weight"].value, head_before)
     # but the factorized weights did move
     assert not np.array_equal(student.params["embedding.table"].value,
                               teacher.params["embedding.dense"].value[:, :8])
+    # a stage whose terms skip the projection leaves it bit-unchanged
+    kd.train(student, teacher, data, kd.TrainConfig(stage="no_kd", steps=3, lr=0.05),
+             proj=proj)
+    assert np.array_equal(proj.value, proj_before)
+    kd.train(student, teacher, data, kd.TrainConfig(stage="finetune_kd", steps=3, lr=0.05),
+             proj=proj)
+    assert not np.array_equal(proj.value, proj_before)
+
+
+def test_no_kd_stage_skips_teacher_forward(monkeypatch):
+    teacher = build_dense_model(TOY, make_rng(7)).freeze()
+    student, _ = init_student_from_teacher(teacher, PLAN, rng=make_rng(8))
+    data = kd.make_synthetic_task(TOY, 16, 4, make_rng(9))
+    calls = []
+
+    def counting_forward(model, ids):
+        calls.append(model)
+        return forward(model, ids)
+
+    monkeypatch.setattr(kd, "forward", counting_forward)
+    kd.train(student, teacher, data, kd.TrainConfig(stage="no_kd", steps=3, lr=0.05))
+    assert len(calls) == 3 and all(m is student for m in calls)
 
 
 def test_train_zero_lr_is_noop():
