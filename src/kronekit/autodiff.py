@@ -132,12 +132,6 @@ class Tensor:
                 self._accumulate(g.reshape(self.value.shape))
         return Tensor(self.value.reshape(*shape), parents=(self,), backward=backward)
 
-    def transpose_last(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.swapaxes(g, -1, -2))
-        return Tensor(np.swapaxes(self.value, -1, -2), parents=(self,), backward=backward)
-
     def permute(self, *axes: int):
         """Axes reordered as ``np.transpose(value, axes)``, a view."""
         inverse = np.argsort(axes)

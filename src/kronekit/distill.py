@@ -133,7 +133,7 @@ def kd_losses(student_trace: ForwardTrace, teacher_trace: ForwardTrace,
         gs = ad.concat_last([_pool(st.attn_out[-1]), _pool(st.ffn_out[-1])])
         gt = ad.concat_last([_pool(tt.attn_out[-1]), _pool(tt.ffn_out[-1])])
         _check_pair("pooled features", gs, gt)
-        proj_l = ad.mse(gs, gt @ proj.transpose_last())
+        proj_l = ad.mse(gs, ad.linear(gt, proj))
     if "logits" in components:
         _check_pair("logits", st.logits, tt.logits)
         log_l = ad.mse(st.logits, tt.logits)

@@ -304,6 +304,11 @@ def build_dense_model(arch: ArchSpec, rng: np.random.Generator) -> TransformerMo
     return TransformerModel(arch, params)
 
 
+class FactorizationError(ValueError):
+    """A teacher weight the nearest-Kronecker solver cannot factor; the
+    message names the tensor."""
+
+
 def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
                               rng: np.random.Generator | None = None,
                               ) -> tuple[TransformerModel, dict[str, NkpResult]]:
@@ -331,7 +336,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
         try:
             res = nearest_kronecker(teacher.params[name].value, shapes[group])
         except ValueError as exc:  # non-finite entries
-            raise RuntimeError(f"factor initialization failed for {name!r}: {exc}") from exc
+            raise FactorizationError(f"factor initialization failed for {name!r}: {exc}") from exc
         results[name] = res
         a, b = factor_names(slot)
         params[a], params[b] = ad.parameter(res.factors.a), ad.parameter(res.factors.b)

@@ -65,4 +65,5 @@ def nearest_kronecker(w: np.ndarray, shape: FactorShape) -> NkpResult:
         a, b = -a, -b
     pair = KronFactorPair(a, b)
     residual = float(np.linalg.norm(w - kron_product(pair)))
-    return NkpResult(pair, residual, 0, sigma, sigma ** 2 / float(np.sum(s ** 2)))
+    # sigma^2 / sum(s^2) as ratios to sigma, which do not overflow for sigma > 1e154
+    return NkpResult(pair, residual, 0, sigma, 1.0 / float(np.sum((s / sigma) ** 2)))

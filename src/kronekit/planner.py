@@ -18,7 +18,7 @@ walks it. Conventions (also emitted by the CLI report):
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .kron import FactorShape, dense_matvec_flops, kron_flops
 from .tensor import ShapeError
@@ -64,7 +64,6 @@ class PlanInfeasibleError(ValueError):
         super().__init__(
             f"target compression ratio {target:g} is infeasible; "
             f"maximum achievable is {max_achievable:.2f}")
-        self.target = target
         self.max_achievable = max_achievable
 
 
@@ -88,9 +87,6 @@ class ArchSpec:
     @property
     def head_dim(self) -> int:
         return self.hidden // self.heads
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "ArchSpec":

@@ -55,7 +55,7 @@ def test_shape_op_grads():
     x = ad.parameter(rng.standard_normal((2, 3, 4)))
 
     def build():
-        y = x.reshape(2, 12).transpose_last()
+        y = x.reshape(2, 12).permute(1, 0)
         return (y * y).mean(axis=1).mean() + y.mean() * 0.1
 
     fd_check(build, [x], rng)
@@ -204,7 +204,6 @@ GRAPH_OPS = {
     "mul": (lambda x, y: x * y, [(2, 3), (2, 3)]),
     "matmul": (lambda x, y: x @ y, [(2, 3), (3, 4)]),
     "reshape": (lambda x: x.reshape(3, 2), [(2, 3)]),
-    "transpose_last": (lambda x: x.transpose_last(), [(2, 3)]),
     "permute": (lambda x: x.permute(2, 0, 1), [(2, 3, 4)]),
     "mean": (lambda x: x.mean(axis=1), [(2, 3)]),
     "gather_rows": (lambda t: ad.gather_rows(t, np.array([0, 2, 2])), [(4, 3)]),

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -24,7 +24,7 @@ def bert_plan(attention, ffn1, n):
 
 
 def test_arch_spec_round_trip_and_validation():
-    assert ArchSpec.from_json(BERT.to_json()) == BERT
+    assert ArchSpec.from_json(asdict(BERT)) == BERT
     assert BERT.head_dim == 64
     with pytest.raises(ShapeError):
         ArchSpec(vocab_size=10, hidden=10, layers=1, heads=3, ffn_dim=10, max_seq_len=8)
