@@ -322,8 +322,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     v = x.value
     mu = v.mean(axis=-1, keepdims=True)
     xhat = v - mu
-    var = (xhat ** 2).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        var = (xhat ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
+    big = np.isinf(var[..., 0])
+    if big.any():  # a deviation past ~1e154 overflows its square: scale by max|row| first
+        r = xhat[big]
+        m = np.abs(r).max(axis=-1, keepdims=True)
+        inv[big] = 1.0 / (m * np.sqrt(((r / m) ** 2).mean(axis=-1, keepdims=True)))
     xhat *= inv
     if not (x.requires_grad or gamma.requires_grad or beta.requires_grad):
         xhat *= gamma.value  # no graph to keep xhat for: it becomes the output

@@ -21,8 +21,7 @@ from .kron import FactorShape, dense_matvec_flops, kron_apply, kron_flops
 from .model import (FactorizationError, factor_names, init_student_from_teacher,
                     model_from_store, model_to_store)
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, check_plan, count_flops,
-                      count_params, counted, flops_breakdown, json_field, make_plan,
-                      plan_for_ratio)
+                      count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
 
 EXIT_OK = 0
@@ -50,15 +49,13 @@ def _load_plan(path: str, arch: ArchSpec) -> CompressionPlan:
                      json_field(d, "ffn1", "plan", tuple), json_field(d, "embedding_n", "plan"))
 
 
-def _plan_report(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int) -> list[str]:
+def _plan_report(arch: ArchSpec, plan: CompressionPlan, seq_len: int) -> list[str]:
     dense = count_params(arch)
     params = count_params(arch, plan)
-    lines = []
-    if plan is not None:
-        lines.append(f"attention (m1,n1,m2,n2): {_fs(plan.attention_shape)}")
-        lines.append(f"ffn1      (m1,n1,m2,n2): {_fs(plan.ffn1_shape)}")
-        lines.append(f"ffn2      (m1,n1,m2,n2): {_fs(plan.ffn2_shape)}")
-        lines.append(f"embedding row length n : {plan.embedding_n}")
+    lines = [f"attention (m1,n1,m2,n2): {_fs(plan.attention_shape)}",
+             f"ffn1      (m1,n1,m2,n2): {_fs(plan.ffn1_shape)}",
+             f"ffn2      (m1,n1,m2,n2): {_fs(plan.ffn2_shape)}",
+             f"embedding row length n : {plan.embedding_n}"]
     lines.append(f"parameters             : {params:,} ({params / 1e6:.2f}M)")
     lines.append(f"compression factor     : {dense / params:.2f}x vs dense {dense / 1e6:.2f}M")
     br = flops_breakdown(arch, plan, seq_len)
@@ -99,15 +96,13 @@ def cmd_compress(args) -> int:
     plan = _load_plan(args.plan, arch)
     teacher = model_from_store(NamedTensorStore.load(args.checkpoint), arch)
     student, results = init_student_from_teacher(teacher, plan)
-    store = model_to_store(student)
-    store.save(args.out)
-    dense = teacher.parameters()
+    model_to_store(student).save(args.out)
     print(f"{'tensor':40s} {'relative residual':>17s} {'retained energy':>15s}")
     for name, res in results.items():
-        rel = res.residual / max(float(np.linalg.norm(dense[name].value)), 1e-300)
+        # ||W|| = sigma / sqrt(retained energy): the NKP spectrum, which cannot overflow
+        rel = res.residual * np.sqrt(res.retained_energy) / res.sigma if res.sigma else 0.0
         print(f"{name:40s} {rel:17.3e} {res.retained_energy:15.6f}")
-    student_n = sum(m.size for name, m in store.items() if counted(name))
-    teacher_n = sum(t.value.size for name, t in dense.items() if counted(name))
+    student_n, teacher_n = count_params(arch, plan), count_params(arch)
     print(f"entries without the task head: student {student_n:,}, teacher {teacher_n:,}, "
           f"compression factor {teacher_n / student_n:.2f}x")
     return EXIT_OK

@@ -312,8 +312,9 @@ class FactorizationError(ValueError):
 def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
                               rng: np.random.Generator | None = None,
                               ) -> tuple[TransformerModel, dict[str, NkpResult]]:
-    """Compress a dense teacher: factorized groups get their nearest
-    Kronecker approximation, everything else is copied verbatim.
+    """Compress a dense teacher in one walk over :func:`layout`: plan groups
+    get their nearest Kronecker approximation, everything else is copied
+    verbatim; a group slot without ``{slot}.dense`` raises ShapeError.
 
     Returns the student and the NKP result of each factorized weight, keyed
     by the teacher's checkpoint name (``embedding.dense``,
@@ -323,9 +324,6 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
     callers that pass it keep working."""
     arch = teacher.arch
     shapes = check_plan(arch, plan)
-    if any(group and f"{slot}.dense" not in teacher.params
-           for slot, _, _, group in layout(arch)):
-        raise ShapeError("teacher must be dense")
     params: dict[str, Tensor] = {}
     results: dict[str, NkpResult] = {}
     for slot, _, _, group in layout(arch):
@@ -333,6 +331,8 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
             params[slot] = ad.parameter(teacher.params[slot].value)
             continue
         name = f"{slot}.dense"
+        if name not in teacher.params:
+            raise ShapeError("teacher must be dense")
         try:
             res = nearest_kronecker(teacher.params[name].value, shapes[group])
         except ValueError as exc:  # non-finite entries

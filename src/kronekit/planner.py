@@ -140,11 +140,6 @@ class CompressionPlan:
         return cls(shape("attention_shape"), shape("ffn1_shape"), shape("ffn2_shape"),
                    json_field(d, "embedding_n", "plan"))
 
-    @classmethod
-    def load(cls, path) -> "CompressionPlan":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -322,25 +317,22 @@ def plan_for_ratio(arch: ArchSpec, target_ratio: float) -> CompressionPlan:
         s2 = swap_shape(s1)
         ffn_opts.append((layers * (s1.param_count + s2.param_count),
                          layers * (kron_flops(s1) + kron_flops(s2)), s1))
-    emb_opts = [(v * (d // n) + n, d, n) for n in _divisors(d)]
+    # every row length costs the same d FLOPs per token: take the fewest parameters
+    ep, n = min((v * (d // n) + n, n) for n in _divisors(d))
 
     budget = dense_total / target_ratio
-    min_params = fixed + min(p for p, _, _ in att_opts) + min(p for p, _, _ in ffn_opts) \
-        + min(p for p, _, _ in emb_opts)
+    min_params = fixed + min(p for p, _, _ in att_opts) + min(p for p, _, _ in ffn_opts) + ep
     if min_params > budget:
         raise PlanInfeasibleError(target_ratio, dense_total / min_params)
 
-    best = None  # (flops, params, att, ffn1, n)
+    # the fewest-parameter option of each front is in the loop, so best is always set
+    best = None  # (flops, params, att, ffn1)
     for ap, af, att in _pareto(att_opts):
         for fp, ff, ffn1 in _pareto(ffn_opts):
-            for ep, ef, n in _pareto(emb_opts):
-                if fixed + ap + fp + ep > budget:
-                    continue
-                key = (af + ff + ef, fixed + ap + fp + ep,
-                       (att.m1, att.n1), (ffn1.m1, ffn1.n1), n)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        raise PlanInfeasibleError(target_ratio, dense_total / min_params)
-    _, _, (am1, an1), (fm1, fn1), n = best
+            if fixed + ap + fp + ep > budget:
+                continue
+            key = (af + ff, fixed + ap + fp + ep, (att.m1, att.n1), (ffn1.m1, ffn1.n1))
+            if best is None or key < best:
+                best = key
+    _, _, (am1, an1), (fm1, fn1) = best
     return make_plan(arch, (am1, an1), (fm1, fn1), n)

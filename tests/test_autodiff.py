@@ -111,6 +111,19 @@ def test_layer_norm_grads():
     fd_check(build, [x, gamma, beta], rng)
 
 
+def test_layer_norm_row_past_square_overflow():
+    # a deviation above about 1.3e154 overflows its square; the row must
+    # still normalize, and the other rows must not change by a bit
+    x = np.array([[1e200, 1.0, -2.0, 3.0], [0.5, 1.0, -2.0, 3.0]])
+    gamma, beta = ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))
+    want = np.array([np.sqrt(3), -1 / np.sqrt(3), -1 / np.sqrt(3), -1 / np.sqrt(3)])
+    alone = ad.layer_norm(ad.Tensor(x[1:]), gamma, beta).value
+    for inp in (ad.Tensor(x.copy()), ad.parameter(x.copy())):
+        out = ad.layer_norm(inp, gamma, beta).value
+        np.testing.assert_allclose(out[0], want, rtol=1e-15)
+        assert np.array_equal(out[1:], alone)
+
+
 # weight kind -> (x width, weight shapes, output width)
 LINEAR_WEIGHTS = {
     "dense": (5, [(4, 5)], 4),
