@@ -18,8 +18,8 @@ import numpy as np
 
 from . import distill as kd
 from .kron import FactorShape, dense_matvec_flops, kron_apply, kron_flops
-from .model import (FactorizationError, factor_names, init_student_from_teacher,
-                    model_from_store, model_to_store)
+from .model import (FactorizationError, init_student_from_teacher, model_from_store,
+                    model_to_store)
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, check_plan, count_flops,
                       count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
@@ -110,46 +110,14 @@ def cmd_compress(args) -> int:
 
 def cmd_verify(args) -> int:
     store = NamedTensorStore.load(args.checkpoint)  # a StoreError is exit 2 in main()
-    if args.arch:
-        # a tensor that is missing, does not fit or is not used by the
-        # architecture raises KeyError or ShapeError naming it; main()
-        # reports either as exit 2
-        model_from_store(store, ArchSpec.load(args.arch))
-    if len(store) == 0:
-        print("verify: empty checkpoint, vacuously passing (warning)")
-        return EXIT_OK
-    rng = make_rng(0)
-    failures = []
-    for name, m in store.items():
-        if not np.all(np.isfinite(m)):
-            failures.append(f"{name}: non-finite entries")
-    names = set(store.names())
-    bases = {n[:-2] for n in names if n.endswith((".a", ".b"))}
-    if names & set(factor_names("embedding")):
-        bases.add("embedding")
-    for base in sorted(bases):
-        a_name, b_name = factor_names(base)
-        if b_name not in names:
-            failures.append(f"{base}: factor A without matching B ({b_name} missing)")
-            continue
-        if a_name not in names:
-            failures.append(f"{base}: factor B without matching A ({a_name} missing)")
-            continue
-        a = np.asarray(store[a_name], dtype=np.float64)
-        b = np.asarray(store[b_name], dtype=np.float64)
-        if base == "embedding":  # applied by row lookup, not as a matvec
-            if b.shape[0] != 1:
-                failures.append(f"{b_name} is {b.shape[0]}x{b.shape[1]}, expected a single row")
-            continue
-        x = rng.standard_normal(a.shape[1] * b.shape[1])
-        got = kron_apply(a, b, x)
-        want = np.kron(a, b) @ x
-        scale = max(float(np.linalg.norm(want)), 1e-300)
-        if np.linalg.norm(got - want) / scale > 1e-10:
-            failures.append(f"{base}: factorized matvec disagrees with reconstruction")
-    if failures:
-        for f in failures:
-            print(f"FAIL {f}")
+    # a tensor that is missing, does not fit or is not used by the
+    # architecture raises KeyError or ShapeError naming it; main() reports
+    # either as exit 2
+    model_from_store(store, ArchSpec.load(args.arch))
+    bad = [name for name, m in store.items() if not np.all(np.isfinite(m))]
+    for name in bad:
+        print(f"FAIL {name}: non-finite entries")
+    if bad:
         return EXIT_NUMERICAL
     print(f"verify: {len(store)} tensors OK")
     return EXIT_OK
@@ -262,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compress)
 
-    p = sub.add_parser("verify", help="run the oracle checks on a checkpoint")
+    p = sub.add_parser("verify", help="check a checkpoint against its architecture")
     p.add_argument("checkpoint")
-    p.add_argument("--arch")
+    p.add_argument("--arch", required=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="time dense vs factorized matmul paths")
@@ -323,7 +291,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"{args.command}: {message}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

@@ -3,7 +3,7 @@ of W = A (x) B to row vectors, and FLOP cost models.
 
 Both inner products are evaluated in whichever association order is cheaper;
 ties prefer applying B first. :func:`kron_apply` is the one kernel: the
-model, ``kronekit bench`` and ``kronekit verify`` all run it. It applies B to
+model and ``kronekit bench`` both run it. It applies B to
 all input rows at once as one flat 2-D GEMM. How it applies A depends on
 which factor is smaller (:func:`kron_layout`):
 

@@ -332,7 +332,7 @@ def init_student_from_teacher(teacher: TransformerModel, plan: CompressionPlan,
             continue
         name = f"{slot}.dense"
         if name not in teacher.params:
-            raise ShapeError("teacher must be dense")
+            raise ShapeError(f"teacher tensor {name!r} is missing: the teacher must be dense")
         try:
             res = nearest_kronecker(teacher.params[name].value, shapes[group])
         except ValueError as exc:  # non-finite entries

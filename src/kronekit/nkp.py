@@ -64,6 +64,11 @@ def nearest_kronecker(w: np.ndarray, shape: FactorShape) -> NkpResult:
     if a.flat[np.argmax(np.abs(a))] < 0:
         a, b = -a, -b
     pair = KronFactorPair(a, b)
-    residual = float(np.linalg.norm(w - kron_product(pair)))
+    diff = w - kron_product(pair)
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(diff))
+    if residual == np.inf:  # an entry past about 1.3e154: its square overflows
+        top = float(np.max(np.abs(diff)))
+        residual = top * float(np.linalg.norm(diff / top))
     # sigma^2 / sum(s^2) as ratios to sigma, which do not overflow for sigma > 1e154
     return NkpResult(pair, residual, 0, sigma, 1.0 / float(np.sum((s / sigma) ** 2)))

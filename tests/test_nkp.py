@@ -1,10 +1,16 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from kronekit.kron import FactorShape, KronFactorPair, kron_product
+from kronekit.model import build_dense_model
 from kronekit.nkp import nearest_kronecker, rearrange
+from kronekit.planner import ArchSpec, make_plan
 from kronekit.tensor import ShapeError, make_rng
 
+from conftest import config_path
 from oracles import dominant_sigma_oracle, vec
 
 
@@ -95,6 +101,21 @@ def test_nearest_kronecker_residual_matches_trailing_spectrum():
     want = float(np.sqrt(np.sum(svals[1:] ** 2)))
     assert abs(res.residual - want) < 1e-8
     assert abs(res.sigma - svals[0]) < 1e-8
+
+
+def test_nearest_kronecker_residual_past_square_overflow():
+    # the toy teacher's FFN2 weight with one entry near 1.4e307: the rounding
+    # error left at that entry is past 1.3e154, so its square overflows
+    arch = ArchSpec.load(config_path("toy.json"))
+    w = build_dense_model(arch, make_rng(0)).params["layer.0.ffn.w2.dense"].value.copy()
+    w[0, 0] = 1.4384525385606322e+307
+    shape = make_plan(arch, (16, 16), (8, 4), 4).ffn2_shape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = nearest_kronecker(w, shape)
+    diff = w - kron_product(res.factors)
+    assert 1e154 < np.max(np.abs(diff)) and np.isfinite(res.residual)
+    assert res.residual == pytest.approx(math.hypot(*diff.ravel()), rel=1e-12)
 
 
 def _unrearrange(r: np.ndarray, shape: FactorShape) -> np.ndarray:
