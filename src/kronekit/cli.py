@@ -21,7 +21,8 @@ from .kron import FactorShape, dense_matvec_flops, kron_apply, kron_flops
 from .model import (FactorizationError, init_student_from_teacher, model_from_store,
                     model_to_store)
 from .planner import (ArchSpec, CompressionPlan, PlanInfeasibleError, check_plan, count_flops,
-                      count_params, flops_breakdown, json_field, make_plan, plan_for_ratio)
+                      count_params, flops_breakdown, json_field, make_plan, plan_for_ratio,
+                      read_json)
 from .tensor import NamedTensorStore, ShapeError, StoreError, make_rng
 
 EXIT_OK = 0
@@ -38,8 +39,7 @@ FLOPS_CONVENTION = (
 
 
 def _load_plan(path: str, arch: ArchSpec) -> CompressionPlan:
-    with open(path) as fh:
-        d = json.load(fh)
+    d = read_json(path)
     if isinstance(d, dict) and "attention_shape" in d:
         plan = CompressionPlan.from_json(d)
         check_plan(arch, plan)  # a full plan may be written for another architecture
@@ -274,7 +274,6 @@ EXIT_CODES = {
     ShapeError: EXIT_VALIDATION,
     StoreError: EXIT_VALIDATION,
     OSError: EXIT_VALIDATION,
-    json.JSONDecodeError: EXIT_VALIDATION,
     KeyError: EXIT_VALIDATION,
     FactorizationError: EXIT_VALIDATION,
 }

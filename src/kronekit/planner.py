@@ -17,6 +17,8 @@ walks it. Conventions (also emitted by the CLI report):
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 from dataclasses import MISSING, dataclass, fields
 
@@ -59,11 +61,23 @@ def json_field(d, key: str, where: str, kind: type = int):
     return tuple(v) if kind is tuple else v
 
 
+def read_json(path):
+    """The parsed JSON file at ``path``; a file that is not UTF-8, not JSON
+    or nested past the parser's recursion limit raises ShapeError naming
+    the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ShapeError(f"{path}: {exc}") from exc
+
+
 class PlanInfeasibleError(ValueError):
     def __init__(self, target: float, max_achievable: float):
-        super().__init__(
-            f"target compression ratio {target:g} is infeasible; "
-            f"maximum achievable is {max_achievable:.2f}")
+        # rounded down exactly, so that the printed maximum is a feasible target
+        p, q = max_achievable.as_integer_ratio()
+        super().__init__(f"target compression ratio {target:g} is infeasible; "
+                         f"maximum achievable is {100 * p // q / 100:.2f}")
         self.max_achievable = max_achievable
 
 
@@ -104,8 +118,7 @@ class ArchSpec:
 
     @classmethod
     def load(cls, path) -> "ArchSpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -282,57 +295,43 @@ def count_flops(arch: ArchSpec, plan: CompressionPlan | None, seq_len: int) -> i
 
 # ---------------------------------------------------------------- plan search
 
-def _pareto(options: list[tuple[int, int, object]]) -> list[tuple[int, int, object]]:
-    """Keep options not dominated in (params, flops); sorted by params."""
-    options = sorted(options)
-    front, best_flops = [], None
-    for params, flops, payload in options:
-        if best_flops is None or flops < best_flops:
-            front.append((params, flops, payload))
-            best_flops = flops
-    return front
-
-
 def plan_for_ratio(arch: ArchSpec, target_ratio: float) -> CompressionPlan:
-    """Cheapest-FLOPs plan whose whole-model compression meets the target.
+    """The plan with the most parameters whose whole-model compression
+    ``count_params(arch) / count_params(arch, plan)`` meets the target.
 
-    FLOP ties are broken toward the smallest parameter count, then the
-    lexicographically smallest shapes, so the search is deterministic.
-    The FLOP minimum is the rank-one split (A a row, B a column) with
-    embedding row length d, and it is near the parameter minimum, so every
-    target up to its own ratio returns that one plan: on BERT-base, every
-    target up to 89.66 gives attention (1, 768, 768, 1), FFN1
-    (1, 768, 3072, 1) and ``embedding_n`` 768.
+    Ties go to the fewest FLOPs, then the smallest attention (m1, n1), FFN1
+    (m1, n1) and ``embedding_n``, so the search is deterministic. Every
+    embedding row length costs the same d FLOPs per token, so each
+    (attention, FFN1) pair takes the largest embedding that still meets the
+    target. On BERT-base, 19.421 gives attention (1, 16, 768, 48), FFN1
+    (1, 64, 3072, 12) and ``embedding_n`` 12.
     """
     if target_ratio <= 1:
         raise ValueError(f"target_ratio must exceed 1, got {target_ratio}")
     d, f, layers, v = arch.hidden, arch.ffn_dim, arch.layers, arch.vocab_size
     dense_total = count_params(arch)
     fixed = dense_total - sum(rows * cols for _, rows, cols, group in layout(arch) if group)
+    # (entries, FLOPs per token, shape) of one layer's group weights
+    atts = [(4 * s.param_count, 4 * kron_flops(s), s) for s in enumerate_shapes(d, d)]
+    ffns = [(2 * s.param_count, kron_flops(s) + kron_flops(swap_shape(s)), s)
+            for s in enumerate_shapes(f, d)]
+    # each embedding size once, smallest first, with its smallest row length
+    embeddings = sorted({v * (d // n) + n: n for n in reversed(_divisors(d))}.items())
 
-    att_opts = [(layers * 4 * s.param_count, layers * 4 * kron_flops(s), s)
-                for s in enumerate_shapes(d, d)]
-    ffn_opts = []
-    for s1 in enumerate_shapes(f, d):
-        s2 = swap_shape(s1)
-        ffn_opts.append((layers * (s1.param_count + s2.param_count),
-                         layers * (kron_flops(s1) + kron_flops(s2)), s1))
-    # every row length costs the same d FLOPs per token: take the fewest parameters
-    ep, n = min((v * (d // n) + n, n) for n in _divisors(d))
+    # the fewest-entry plan; when it meets the target, the loop sets best
+    least = fixed + layers * (min(atts)[0] + min(ffns)[0]) + embeddings[0][0]
+    if dense_total / least < target_ratio:
+        raise PlanInfeasibleError(target_ratio, dense_total / least)
 
-    budget = dense_total / target_ratio
-    min_params = fixed + min(p for p, _, _ in att_opts) + min(p for p, _, _ in ffn_opts) + ep
-    if min_params > budget:
-        raise PlanInfeasibleError(target_ratio, dense_total / min_params)
-
-    # the fewest-parameter option of each front is in the loop, so best is always set
-    best = None  # (flops, params, att, ffn1)
-    for ap, af, att in _pareto(att_opts):
-        for fp, ff, ffn1 in _pareto(ffn_opts):
-            if fixed + ap + fp + ep > budget:
-                continue
-            key = (af + ff, fixed + ap + fp + ep, (att.m1, att.n1), (ffn1.m1, ffn1.n1))
-            if best is None or key < best:
-                best = key
-    _, _, (am1, an1), (fm1, fn1) = best
-    return make_plan(arch, (am1, an1), (fm1, fn1), n)
+    best = None  # the least (-params, flops, attention, ffn1, embedding_n)
+    for (ap, af, att), (fp, ff, ffn1) in itertools.product(atts, ffns):
+        rest = fixed + layers * (ap + fp)
+        fits = bisect.bisect_left(embeddings, True,
+                                  key=lambda e: dense_total / (rest + e[0]) < target_ratio)
+        if fits == 0:
+            continue
+        ep, n = embeddings[fits - 1]
+        key = (-(rest + ep), af + ff, (att.m1, att.n1), (ffn1.m1, ffn1.n1), n)
+        if best is None or key < best:
+            best = key
+    return make_plan(arch, *best[2:])

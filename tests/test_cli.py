@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import struct
 from dataclasses import asdict, replace
 
@@ -51,6 +52,14 @@ def test_plan_ratio_and_infeasible(capsys):
     assert main(["plan", TOY_ARCH, "--ratio", "1000"]) == 4
     assert main(["plan", TOY_ARCH]) == 2                      # neither flag
     assert main(["plan", TOY_ARCH, "--ratio", "4", "--shapes", TOY_SHAPES]) == 2
+
+
+@pytest.mark.parametrize("arch", [TOY_ARCH, BERT_ARCH], ids=["toy", "bert_base"])
+def test_plan_printed_maximum_is_feasible(arch, capsys):
+    assert main(["plan", arch, "--ratio", "1000"]) == 4
+    maximum = re.search(r"maximum achievable is (\S+)$", capsys.readouterr().err).group(1)
+    assert main(["plan", arch, "--ratio", maximum, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["compression_factor"] >= float(maximum)
 
 
 @pytest.mark.parametrize("ratio", ["1", "0.5", "-3", "nan"])
@@ -382,7 +391,6 @@ def test_flag_floors_name_parser_options():
     (ShapeError("bad shape"), 2),
     (BadMagicError("not a KTS file"), 2),
     (FileNotFoundError("no such file"), 2),
-    (json.JSONDecodeError("bad json", "{", 1), 2),
     (KeyError("layer.0.attn.wq.dense"), 2),
     (FactorizationError("factor initialization failed"), 2),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
@@ -476,6 +484,15 @@ def test_invalid_plan_json_is_validation_error(tmp_path, teacher_store, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["plan", TOY_ARCH, "--shapes", str(bad)]) == 2
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(json.dumps({"attention": [16, 16]}).encode("utf-16"))  # ff fe ...
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path in (not_utf8, deep):
+        for argv in (["plan", TOY_ARCH, "--shapes", str(path)],
+                     ["report", "--arch", TOY_ARCH, "--shapes", str(path)]):
+            assert main(argv) == 2
+            assert str(path) in capsys.readouterr().err
     full = {"attention_shape": {"m1": 16, "n1": 16, "m2": 2, "n2": 2},
             "ffn1_shape": {"m1": 8, "n1": 4, "m2": 8, "n2": 8},
             "ffn2_shape": {"m1": 4, "n1": 8, "m2": 8, "n2": 8}, "embedding_n": 4}
@@ -510,6 +527,11 @@ def test_invalid_arch_json_is_validation_error(tmp_path, capsys):
         arch.write_text(json.dumps(payload))
         assert main(["plan", str(arch), "--ratio", "2"]) == 2
         assert message in capsys.readouterr().err
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(json.dumps(toy).encode("utf-16"))  # ff fe ...
+    for argv in (["plan", str(not_utf8), "--ratio", "2"], ["report", "--arch", str(not_utf8)]):
+        assert main(argv) == 2
+        assert str(not_utf8) in capsys.readouterr().err
 
 
 def _multiplied_out(store: NamedTensorStore) -> NamedTensorStore:

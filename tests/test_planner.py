@@ -2,6 +2,7 @@ import itertools
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from kronekit import cli
@@ -153,7 +154,9 @@ def test_count_flops_reference_totals():
 # -------------------------------------------------------------- plan search
 
 def brute_force_best(arch, target):
-    """Exhaustive search over all plans; mirrors plan_for_ratio's objective."""
+    """Exhaustive search over all plans; mirrors plan_for_ratio's objective:
+    the most parameters within the target, then the fewest FLOPs, then the
+    smallest attention (m1, n1), FFN1 (m1, n1) and embedding_n."""
     dense = count_params(arch)
     best = None
     d, f = arch.hidden, arch.ffn_dim
@@ -164,7 +167,7 @@ def brute_force_best(arch, target):
         plan = CompressionPlan(att, ffn1, swap_shape(ffn1), n)
         if dense / count_params(arch, plan) < target:
             continue
-        key = (count_flops(arch, plan, 1), count_params(arch, plan),
+        key = (-count_params(arch, plan), count_flops(arch, plan, 1),
                (att.m1, att.n1), (ffn1.m1, ffn1.n1), n)
         if best is None or key < best[0]:
             best = (key, plan)
@@ -172,10 +175,11 @@ def brute_force_best(arch, target):
 
 
 def test_plan_for_ratio_meets_target_and_is_optimal():
-    for target in (2.0, 5.0, 8.0):
-        plan = plan_for_ratio(TOY, target)
-        assert count_params(TOY) / count_params(TOY, plan) >= target
-        assert plan == brute_force_best(TOY, target)
+    # with vocab 8, row lengths 8 and 32 give equal embedding sizes (40 entries)
+    for arch, target in itertools.product((TOY, replace(TOY, vocab_size=8)), (2.0, 5.0, 8.0)):
+        plan = plan_for_ratio(arch, target)
+        assert count_params(arch) / count_params(arch, plan) >= target
+        assert plan == brute_force_best(arch, target)
 
 
 def test_plan_for_ratio_deterministic():
@@ -186,9 +190,35 @@ def test_plan_for_ratio_infeasible():
     with pytest.raises(PlanInfeasibleError) as err:
         plan_for_ratio(TOY, 1e9)
     assert err.value.max_achievable < 1e9
-    # the reported maximum is itself achievable
-    plan = plan_for_ratio(TOY, err.value.max_achievable * 0.999)
-    assert count_params(TOY) / count_params(TOY, plan) >= err.value.max_achievable * 0.999
+    # the reported maximum is itself achievable, to the last bit
+    plan = plan_for_ratio(TOY, err.value.max_achievable)
+    assert count_params(TOY) / count_params(TOY, plan) >= err.value.max_achievable
+
+
+def achievable_totals(arch):
+    """Every distinct whole-model entry count a plan can reach: the divisor
+    grid's attention x FFN x embedding totals, by numpy broadcasting."""
+    d, f, v, layers = arch.hidden, arch.ffn_dim, arch.vocab_size, arch.layers
+    dd = np.array([k for k in range(1, d + 1) if d % k == 0])
+    fd = np.array([k for k in range(1, f + 1) if f % k == 0])
+    att = (np.outer(dd, dd) + np.outer(d // dd, d // dd)).ravel()  # m1 n1 + m2 n2
+    ffn = (np.outer(fd, dd) + np.outer(f // fd, d // dd)).ravel()
+    emb = v * (d // dd) + dd
+    fixed = count_params(arch) - layers * (4 * d * d + 2 * f * d) - v * d
+    return np.unique(fixed + layers * (4 * att[:, None, None] + 2 * ffn[None, :, None])
+                     + emb[None, None, :])
+
+
+@pytest.mark.parametrize("arch, distinct", [(BERT, 7704), (TOY, 212)], ids=["bert_base", "toy"])
+def test_plan_for_ratio_sweep_takes_largest_total_within_target(arch, distinct):
+    dense = count_params(arch)
+    totals = achievable_totals(arch)
+    assert len(totals) == distinct
+    for target in np.geomspace(1.01, dense / totals.min(), 50):
+        target = float(target)
+        params = count_params(arch, plan_for_ratio(arch, target))
+        assert dense / params >= target
+        assert params == totals[dense / totals >= target].max()
 
 
 def test_plan_for_ratio_validation():
