@@ -10,8 +10,8 @@ Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
 inference: each intermediate is freed as soon as nothing refers to it, and
-the model's forward then holds only its trace plus one block (the graph
-path is unchanged).
+the model's forward then holds only its trace plus one block per thread
+(the graph path is unchanged).
 
 ``linear``, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the
@@ -19,19 +19,24 @@ same order as the separate textbook ops, so their values do not depend on
 whether a graph is recorded. ``linear`` adds its residual and bias, scales
 and applies GELU in the kernel's fresh output, in place over fixed blocks
 when no graph is kept; the model's GELU is this one, not ``gelu``. Without
-a graph layernorm returns its own buffer as the output.
+a graph ``linear`` runs over row chunks, the work items of
+:func:`threads.run`, and layernorm returns its own buffer as the output.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
-from . import kron
+from . import kron, threads
+from .tensor import ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _GELU_BLOCK = 1 << 17  # elements (1 MiB of float64) per in-place GELU block
+_CHUNK_BYTES = 1 << 20  # input or output bytes per row chunk of a no-graph linear
 _LN_EPS = 1e-6
 
 
@@ -227,7 +232,7 @@ def gelu(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | None = None, *,
            residual: Tensor | None = None, scale: float | None = None,
-           gelu: bool = False) -> Tensor:
+           gelu: bool = False, out: np.ndarray | None = None) -> Tensor:
     """``act(scale * (x @ W^T + residual + bias))`` over the last axis, one node.
 
     ``weight`` is a dense W (out x in) or a pair (A, B) standing for
@@ -236,27 +241,24 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     order in place on the product's fresh array, so each value equals that
     of the separate ops. The backward runs the kernel on the transposed
     factors.
+
+    With no graph to record, the rows go in chunks of at most 1 MiB of input
+    or output (:func:`threads.split`), each a work item of ``threads.run``
+    that writes its slice of ``out``: a fresh array, or the C-contiguous
+    array given. Every value equals that of one unsplit call.
     """
     xv = x.value
-    if isinstance(weight, Tensor):
-        factors = (weight,)
-        out = xv @ weight.value.T
-    else:
-        factors = tuple(weight)
-        out = kron.kron_apply(factors[0].value, factors[1].value, xv)
-    if residual is not None:
-        out += residual.value
-    if bias is not None:
-        out += bias.value
-    if scale is not None:
-        out *= scale
+    factors = (weight,) if isinstance(weight, Tensor) else tuple(weight)
     # the backward explores x's subgraph before the residual's, as it does
     # for ``residual + x @ W^T``, so grads accumulate in the same order
     parents = ((residual,) if residual is not None else ()) + (x, *factors) \
         + ((bias,) if bias is not None else ())
-    if gelu and not any(p.requires_grad for p in parents):
-        _gelu_in_place(out)  # no graph to keep the pre-activation for
-        return Tensor(out)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(_linear_rows(xv, factors, bias, residual, scale, gelu, out))
+    if out is not None:
+        raise ValueError("linear: out= is for a pass that records no graph")
+    out = _epilogue(_kernel(xv, factors), None if residual is None else residual.value,
+                    bias, scale)
     if gelu:
         pre, cdf = out, _gelu_cdf(out, np.empty_like(out))
         out = pre * cdf
@@ -296,6 +298,61 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     return Tensor(out, parents=parents, backward=backward)
 
 
+def _kernel(xv: np.ndarray, factors: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """``xv @ W^T`` for a dense W or a factor pair, into ``out`` if given."""
+    if len(factors) == 1:
+        return np.matmul(xv, factors[0].value.T, out=out)
+    return kron.kron_apply(factors[0].value, factors[1].value, xv, out=out)
+
+
+def _epilogue(y: np.ndarray, residual: np.ndarray | None, bias: Tensor | None,
+              scale: float | None) -> np.ndarray:
+    """``scale * (y + residual + bias)`` in place on ``y``."""
+    if residual is not None:
+        y += residual
+    if bias is not None:
+        y += bias.value
+    if scale is not None:
+        y *= scale
+    return y
+
+
+def as_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` as a stack of its last-axis rows, (rows, n). A stack of single
+    rows (..., 1, n) becomes (rows, 1, n): numpy multiplies each of those by
+    GEMV, which rounds otherwise than a GEMM over several rows, so a split
+    of them must keep them single."""
+    single = v.ndim > 2 and v.shape[-2] == 1
+    return v.reshape(-1, *(1,) * single, v.shape[-1])
+
+
+def _linear_rows(xv, factors, bias, residual, scale, gelu, out):
+    """The no-graph ``linear``, over row chunks shared by ``threads.run``;
+    one chunk with no ``out`` is one call, as with a graph."""
+    n_out = math.prod(f.value.shape[0] for f in factors)
+    rv = None if residual is None else residual.value
+
+    def apply(x: np.ndarray, y: np.ndarray | None = None, r: np.ndarray | None = rv):
+        y = _epilogue(_kernel(x, factors, y), r, bias, scale)
+        if gelu:
+            _gelu_in_place(y)
+        return y
+
+    most = _CHUNK_BYTES // (8 * max(xv.shape[-1], n_out))  # rows per chunk
+    if out is None and xv.size <= most * xv.shape[-1]:
+        return apply(xv)
+    if out is None:
+        out = np.empty((*xv.shape[:-1], n_out))
+    elif out.shape != (*xv.shape[:-1], n_out) or not out.flags.c_contiguous:
+        raise ShapeError(f"linear: out must be a C-contiguous {(*xv.shape[:-1], n_out)} array")
+    xs = as_rows(xv)
+    ys = out.reshape(*xs.shape[:-1], n_out)
+    rs = None if rv is None else np.broadcast_to(rv, out.shape).reshape(ys.shape)
+    threads.run(lambda rows: apply(xs[rows], ys[rows], None if rs is None else rs[rows]),
+                threads.split(len(xs), most))
+    return out
+
+
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.value)
 
@@ -304,9 +361,12 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor(y, parents=(x,), backward=backward)
 
 
-def softmax_last(x: Tensor) -> Tensor:
+def softmax_last(x: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis: subtract the row max, ``exp``, divide by
+    the row sum. With ``out`` (which may be ``x``'s own array, when nothing
+    reads ``x`` again) every pass runs in place there."""
     v = x.value
-    s = v - v.max(axis=-1, keepdims=True)
+    s = np.subtract(v, v.max(axis=-1, keepdims=True), out=out)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
 

@@ -15,8 +15,10 @@ runs only when a term reads it. ``train_teacher`` is the one teacher recipe
 the CLI and ``run_ablation``.
 
 Training is plain SGD, single-threaded, and bit-deterministic for a fixed
-seed. History rows deliberately carry no timestamps so replays are
-byte-identical; wall time is reported separately by the CLI.
+seed; only a frozen teacher's forward may share its blocks among threads,
+which leaves its values unchanged. History rows deliberately carry no
+timestamps so replays are byte-identical; wall time is reported separately
+by the CLI.
 """
 
 from __future__ import annotations

@@ -115,14 +115,17 @@ def kron_layout(shape: FactorShape) -> tuple[str, bool]:
     return choose_order(shape), shape.m1 * shape.n1 <= shape.m2 * shape.n2
 
 
-def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``x @ (A (x) B)^T`` over the last axis of ``x``, any leading shape.
 
     Row t of ``x``, read row-major as X_t in n1 x n2, maps to A X_t B^T read
     row-major. B is one flat 2-D GEMM over all T rows. A small A is applied
     to every X_t by one broadcast matmul, with no copy; a large A is one
     flat GEMM whose product is interleaved into the output, which keeps the
-    dtype of the GEMMs.
+    dtype of the GEMMs. The result goes into ``out`` if given: a
+    C-contiguous array of the result's shape, such as a row slice of a
+    larger one. The values do not depend on where they go.
     """
     (m1, n1), (m2, n2) = a.shape, b.shape
     x = np.asarray(x)
@@ -131,14 +134,17 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     lead = x.shape[:-1]
     t = math.prod(lead)
     order, broadcast_a = kron_layout(FactorShape(m1, n1, m2, n2))
+    if out is not None and (out.shape != (*lead, m1 * m2) or not out.flags.c_contiguous):
+        raise ShapeError(f"kron_apply: out must be a C-contiguous {(*lead, m1 * m2)} array")
     if order == "b_first" and broadcast_a:
         z = x.reshape(t * n1, n2) @ b.T                              # rows of X_t B^T
-        y = np.matmul(a, z.reshape(t, n1, m2))                       # A X_t B^T
+        y = np.matmul(a, z.reshape(t, n1, m2),                       # A X_t B^T
+                      out=None if out is None else out.reshape(t, m1, m2))
     elif order == "b_first":
         z = b @ x.reshape(t * n1, n2).T                              # [k, (s, j)]: (B X_s^T)[k, j]
         w = z.reshape(m2 * t, n1) @ a.T                              # [(k,s), i]: (A X_s B^T)[i, k]
         del z
-        y = np.empty((t, m1, m2), dtype=w.dtype)
+        y = np.empty((t, m1, m2), dtype=w.dtype) if out is None else out.reshape(t, m1, m2)
         for k, col in enumerate(w.reshape(m2, t, m1)):
             y[:, :, k] = col                                         # column k of each A X_s B^T
     else:
@@ -147,5 +153,6 @@ def kron_apply(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         else:
             z = x.reshape(t, n1, n2).swapaxes(1, 2).reshape(t * n2, n1) @ a.T  # rows of (A X_t)^T
             z = z.reshape(t, n2, m1).swapaxes(1, 2)                  # A X_t
-        y = z.reshape(t * m1, n2) @ b.T                              # rows of A X_t B^T
-    return y.reshape(*lead, m1 * m2)
+        y = np.matmul(z.reshape(t * m1, n2), b.T,                    # rows of A X_t B^T
+                      out=None if out is None else out.reshape(t * m1, m2))
+    return y.reshape(*lead, m1 * m2) if out is None else out

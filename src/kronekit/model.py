@@ -7,10 +7,16 @@ batched; single sequences become a batch of one.
 
 A forward that records a graph keeps what the backward needs. A forward with
 no graph (a frozen model) frees each activation at its last use and holds
-only the trace plus one block: the FFN runs over blocks of token rows and
-attention over blocks of score slices, with values bit-identical to the
-unblocked pass. Its trace keeps each layer's scaled Q and K in place of the
+only the trace plus one block per thread: the FFN runs over blocks of token
+rows, attention over blocks of score slices and each linear map over row
+chunks. Its trace keeps each layer's scaled Q and K in place of the
 (batch, heads, seq, seq) score stack, which is formed only when read.
+
+Those blocks are work items that the calling thread shares with a pool: a
+frozen forward runs them on as many threads as OpenBLAS was given
+(:mod:`kronekit.threads`). Every forward holds OpenBLAS at one thread
+meanwhile. The values are the same: each block runs the GEMMs and ufuncs of
+the unblocked, serial pass, bit for bit, whatever the thread count.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -25,15 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import threads
 from .autodiff import Tensor
 from .kron import FactorShape
 from .nkp import NkpResult, nearest_kronecker
 from .planner import ArchSpec, CompressionPlan, check_plan, layout
 from .tensor import NamedTensorStore, ShapeError
 
-# With no graph to record, the forward holds at most one block of these:
+# With no graph to record, each work item of the forward holds one block of these:
 _ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per attention block
-_FFN_BLOCK = 1 << 19        # FFN hidden elements (4 MiB of float64) per row block
+_FFN_BLOCK = 1 << 18        # FFN hidden elements (2 MiB of float64) per row block
 
 def factor_names(slot: str) -> tuple[str, str]:
     """Checkpoint names of the (A, B) factors of a factored weight slot. The
@@ -189,7 +196,8 @@ class FrozenScores(Tensor):
     @property
     def value(self) -> np.ndarray:
         if self._qk is not None:
-            Tensor.value.__set__(self, np.matmul(*self._qk))
+            with threads.one_blas_thread():  # as the forward formed each block
+                Tensor.value.__set__(self, np.matmul(*self._qk))
             self._qk = None
         return Tensor.value.__get__(self)
 
@@ -205,24 +213,25 @@ def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
     """softmax(q @ k) @ v as a (b, s, h * dk) tensor with no graph.
 
     Runs over blocks of whole (seq x seq) score slices, one batch row's
-    heads at a time or several whole batch rows. Each block's scores are
-    written into one reused block buffer, so only one block of scores and
-    one of probabilities exist at once. Each block's product is written
-    through a (b, h, s, dk) view of the (b, s, h, dk) output, so no permuted
-    copy is made; every slice is the same GEMM as in the unblocked product.
+    heads at a time or several whole batch rows, each a work item of
+    ``threads.run``. Each block forms its scores in one array and takes the
+    softmax in place there, so a block holds one score array. Each block's
+    product is written through a (b, h, s, dk) view of the (b, s, h, dk)
+    output, so no permuted copy is made; every slice is the same GEMM as in
+    the unblocked product.
     """
     b, h, s, dk = v.shape
     heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
     rows_per = max(1, _ATTENTION_BLOCK // (h * s * s)) if heads_per == h else 1
     ctx = np.empty((b, s, h, dk))
-    buf = np.empty((min(b, rows_per), heads_per, s, s))
     ctx_heads = ctx.transpose(0, 2, 1, 3)
-    for i in range(0, b, rows_per):
-        for j in range(0, h, heads_per):
-            blk = np.s_[i:i + rows_per, j:j + heads_per]
-            qb = q[blk]
-            scores = np.matmul(qb, k[blk], out=buf[:qb.shape[0], :qb.shape[1]])
-            np.matmul(ad.softmax_last(Tensor(scores)).value, v[blk], out=ctx_heads[blk])
+
+    def block(blk: tuple[slice, slice]) -> None:
+        scores = np.matmul(q[blk], k[blk])
+        np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
+
+    threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
+                        for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
     return Tensor(ctx.reshape(b, s, h * dk))
 
 
@@ -230,9 +239,11 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int)
     """Position-wise FFN of the ``{prefix}.*`` tensors with residual and post-LN.
 
     With no graph to record and more than ``_FFN_BLOCK / ffn_dim`` tokens,
-    it runs over blocks of that many token rows, each written into the
-    output, so only one block of the ffn_dim-wide hidden exists at once.
-    Every row is computed by the same operations either way.
+    it runs over the fewest equal row blocks of at most that many tokens
+    (:func:`threads.split`), each a work item of ``threads.run`` written
+    into the output, so each block in flight holds one block of the
+    ffn_dim-wide hidden. Every row is computed by the same operations
+    either way.
     """
     w1, w2 = weight(params, f"{prefix}.w1"), weight(params, f"{prefix}.w2")
     b1, b2 = params.get(f"{prefix}.b1"), params.get(f"{prefix}.b2")
@@ -241,47 +252,54 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int)
     def rows(x: Tensor) -> Tensor:  # the hidden is freed before the LayerNorm
         return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x), gamma, beta)
 
-    block = max(1, _FFN_BLOCK // ffn_dim)
-    tokens = x.value.reshape(-1, x.shape[-1])
-    if len(tokens) <= block or _records_graph(params, prefix, x):
+    tokens = ad.as_rows(x.value)
+    blocks = threads.split(len(tokens), _FFN_BLOCK // ffn_dim)
+    if len(blocks) == 1 or _records_graph(params, prefix, x):
         return rows(x)
     out = np.empty_like(tokens)
-    for lo in range(0, len(tokens), block):
-        out[lo:lo + block] = rows(Tensor(tokens[lo:lo + block])).value
+
+    def block(lines: slice) -> None:
+        out[lines] = rows(Tensor(tokens[lines])).value
+
+    threads.run(block, blocks)
     return Tensor(out.reshape(x.shape))
 
 
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
-    """Full forward pass capturing all distillation features."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    if ids.ndim != 2 or ids.shape[1] == 0:
-        raise ShapeError(f"token ids must be (batch, seq) or (seq,), got {ids.shape}")
-    b, s = ids.shape
-    if s > model.arch.max_seq_len:
-        raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
-    p, arch = model.params, model.arch
-    x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"], np.arange(s))
-    if arch.has_segment_embeddings:              # every token is in segment 0
-        x = x + ad.gather_rows(p["embedding.segment"], [0])
-    x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
-    trace = ForwardTrace(E=x)
-    for i in range(arch.layers):
-        attn = f"layer.{i}.attn"
-        a, scores = attention_forward(p, attn, x, arch.heads)
-        a = x + a                                # frees the projection
-        x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
-        del a                                    # before the FFN runs
-        trace.attn_scores.append(scores)
-        trace.attn_out.append(x)
-        x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
-        trace.ffn_out.append(x)
-    pooled = x.mean(axis=1)                      # (batch, d)
-    if arch.has_pooler:
-        pooled = ad.tanh(ad.linear(pooled, p["pooler.weight"], p.get("pooler.bias")))
-    trace.logits = ad.linear(pooled, p["head.weight"], p["head.bias"])
-    return trace
+    """Full forward pass capturing all distillation features. It runs its
+    GEMMs on one OpenBLAS thread (:func:`threads.one_blas_thread`); the
+    blocks of a frozen model's pass share the threads OpenBLAS had."""
+    with threads.one_blas_thread():
+        ids = np.asarray(token_ids, dtype=np.int64)
+        if ids.ndim == 1:
+            ids = ids[None, :]
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise ShapeError(f"token ids must be (batch, seq) or (seq,), got {ids.shape}")
+        b, s = ids.shape
+        if s > model.arch.max_seq_len:
+            raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
+        p, arch = model.params, model.arch
+        x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"],
+                                                                np.arange(s))
+        if arch.has_segment_embeddings:              # every token is in segment 0
+            x = x + ad.gather_rows(p["embedding.segment"], [0])
+        x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
+        trace = ForwardTrace(E=x)
+        for i in range(arch.layers):
+            attn = f"layer.{i}.attn"
+            a, scores = attention_forward(p, attn, x, arch.heads)
+            a = x + a                                # frees the projection
+            x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+            del a                                    # before the FFN runs
+            trace.attn_scores.append(scores)
+            trace.attn_out.append(x)
+            x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
+            trace.ffn_out.append(x)
+        pooled = x.mean(axis=1)                      # (batch, d)
+        if arch.has_pooler:
+            pooled = ad.tanh(ad.linear(pooled, p["pooler.weight"], p.get("pooler.bias")))
+        trace.logits = ad.linear(pooled, p["head.weight"], p["head.bias"])
+        return trace
 
 
 # ------------------------------------------------------------- construction

@@ -12,7 +12,8 @@ import pytest
 from conftest import ROOT
 
 
-@pytest.mark.parametrize("workload", ["infer_long_kron19", "compress_kron19", "distill_toy"])
+@pytest.mark.parametrize("workload", ["infer_long_kron19", "infer_batch_kron8", "compress_kron19",
+                                      "distill_toy"])
 def test_benchmark_workload_runs_correctly(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

@@ -145,6 +145,10 @@ def test_kron_apply_matches_reconstruction_property():
             got = kron_apply(fa, fb, x)
             assert got.shape == (*lead, s.rows)
             assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
+            # out= into a row slice of a larger array: the same bits, only there
+            big = np.full((3, *lead, s.rows), np.nan)
+            kron_apply(fa, fb, x, out=big[1])
+            assert np.array_equal(big[1], got) and np.isnan(big[::2]).all()
 
     check()
     # both association orders, each with A broadcast (small A) and flat

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from kronekit import autodiff as ad
 from kronekit import distill as kd
+from kronekit import threads
 from kronekit.kron import KronFactorPair, kron_product
 from kronekit.model import (DenseWeight, KronWeight, TransformerModel, attention_forward,
                             build_dense_model, embed, forward, init_student_from_teacher,
@@ -354,14 +356,15 @@ def _count_calls(monkeypatch, name):
 
 def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
     # A frozen pass at (3, 180) runs softmax @ V over blocks of 8 + 4 heads of
-    # one batch row and the FFN over row blocks of 170 + 170 + 170 + 30 tokens;
-    # at (12, 48), softmax @ V over blocks of 9 + 3 whole batch rows and the
-    # FFN over 170 x 3 + 66 tokens; (2, 64) fits in one block of each.
+    # one batch row and the FFN over 7 row blocks of 77 or 78 tokens (at most
+    # 85); at (12, 48), softmax @ V over blocks of 9 + 3 whole batch rows and
+    # the FFN over 7 blocks of 82 or 83 tokens; (2, 64) fits in one attention
+    # block and runs the FFN over 2 blocks of 64 tokens.
     # LayerNorm runs after the embedding, after attention and per FFN block.
     softmax = _count_calls(monkeypatch, "softmax_last")
     norms = _count_calls(monkeypatch, "layer_norm")
-    for shape, softmax_calls, ffn_blocks in (((3, 180), 6, 4), ((12, 48), 2, 4),
-                                             ((2, 64), 1, 1)):
+    for shape, softmax_calls, ffn_blocks in (((3, 180), 6, 7), ((12, 48), 2, 7),
+                                             ((2, 64), 1, 2)):
         ids = make_rng(24).integers(0, 512, size=shape)
         for model in bert_models.values():
             live = _trace_tensors(forward(_trainable(model), ids))
@@ -375,6 +378,44 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
             for a, b in zip(live, frozen, strict=True):
                 assert a._parents and not b._parents
                 assert np.array_equal(a.value, b.value)
+
+
+def _blas_threads():
+    """OpenBLAS's thread count getter, or a skip where it cannot be read."""
+    blas = threads.blas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be controlled here")
+    return blas[0]
+
+
+def test_frozen_forward_shares_attention_blocks_among_threads(bert_models, monkeypatch):
+    # at (1, 384) attention runs as 12 one-head blocks, taken in turn by the
+    # caller and the pool, each on one OpenBLAS thread
+    get = _blas_threads()
+    if get() < 2:
+        pytest.skip("OpenBLAS reports one thread")
+    seen = []
+    softmax = ad.softmax_last
+
+    def recorded(*args, **kwargs):
+        seen.append((threading.get_ident(), get()))
+        return softmax(*args, **kwargs)
+    monkeypatch.setattr(ad, "softmax_last", recorded)
+    forward(bert_models["kron19"], make_rng(31).integers(0, 512, size=(1, 384)))
+    assert len(seen) == 12
+    assert len({ident for ident, _ in seen}) > 1
+    assert {count for _, count in seen} == {1}
+
+
+def test_forward_restores_the_blas_thread_count(bert_models):
+    get = _blas_threads()
+    entry = get()
+    model = bert_models["kron19"]
+    forward(model, make_rng(32).integers(0, 512, size=(2, 64)))
+    assert get() == entry
+    with pytest.raises(IndexError, match="token id 512 out of range"):
+        forward(model, np.array([[3, 512]]))
+    assert get() == entry
 
 
 def _held_bytes(trace):
