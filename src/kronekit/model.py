@@ -14,9 +14,11 @@ chunks. Its trace keeps each layer's scaled Q and K in place of the
 
 Those blocks are work items that the calling thread shares with a pool: a
 frozen forward runs them on as many threads as OpenBLAS was given
-(:mod:`kronekit.threads`). Every forward holds OpenBLAS at one thread
-meanwhile. The values are the same: each block runs the GEMMs and ufuncs of
-the unblocked, serial pass, bit for bit, whatever the thread count.
+(:mod:`kronekit.threads`), and holds OpenBLAS at one thread meanwhile. The
+values are the same: each block runs the GEMMs and ufuncs of the unblocked,
+serial pass, bit for bit, whatever the thread count. A score GEMM's bits do
+depend on OpenBLAS's thread count, so a graph forward, which keeps
+OpenBLAS's threads, forms its scores on one thread as well.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -26,6 +28,7 @@ FLOP counts all walk it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +173,8 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     q = project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)  # (b, h, s, dk)
     k = project("k").permute(0, 2, 3, 1)                           # (b, h, dk, s)
     if _records_graph(params, prefix, x):
-        scores = q @ k
+        with threads.one_blas_thread():  # as a frozen pass forms each block
+            scores = q @ k
         v = project("v").permute(0, 2, 1, 3)
         ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
     else:
@@ -266,10 +270,12 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int)
 
 
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
-    """Full forward pass capturing all distillation features. It runs its
-    GEMMs on one OpenBLAS thread (:func:`threads.one_blas_thread`); the
-    blocks of a frozen model's pass share the threads OpenBLAS had."""
-    with threads.one_blas_thread():
+    """Full forward pass capturing all distillation features. The pass of a
+    frozen model (no parameter requires grad) runs its GEMMs on one OpenBLAS
+    thread and shares its blocks among the threads OpenBLAS had
+    (:func:`threads.one_blas_thread`)."""
+    frozen = not any(t.requires_grad for t in model.params.values())
+    with threads.one_blas_thread() if frozen else nullcontext():
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim == 1:
             ids = ids[None, :]

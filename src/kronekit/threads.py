@@ -1,20 +1,21 @@
-"""A forward's GEMMs on one OpenBLAS thread, and its work items on N threads.
+"""A frozen forward's GEMMs on one OpenBLAS thread, its work items on N threads.
 
-Every forward runs inside :func:`one_blas_thread`. On entry it reads how
+A frozen forward runs inside :func:`one_blas_thread`. On entry it reads how
 many threads numpy's OpenBLAS was given, N, and holds OpenBLAS at one
-thread until it exits. Meanwhile :func:`run` shares the work items of the
-sublayers that record no graph (all of a frozen forward) between the
-calling thread and N - 1 pool threads. Two BLAS threads under two Python
-threads would fight for the same cores, while two one-thread GEMMs side by
-side take as long as two N-thread GEMMs in turn; so the GEMMs lose nothing
-and the elementwise work (GELU, softmax, LayerNorm) gains the other cores.
-``OPENBLAS_NUM_THREADS=1`` thus gives a serial pass.
+thread until it exits. Meanwhile :func:`run` shares the forward's work
+items between the calling thread and N - 1 pool threads. Two BLAS threads
+under two Python threads would fight for the same cores, while two
+one-thread GEMMs side by side take as long as two N-thread GEMMs in turn;
+so the GEMMs lose nothing and the elementwise work (GELU, softmax,
+LayerNorm) gains the other cores. ``OPENBLAS_NUM_THREADS=1`` thus gives a
+serial pass.
 
 A GEMM's bits do not depend on its row count, but for some shapes they do
-depend on OpenBLAS's thread count (a (s x 64) @ (64 x s) score product with
-s past 90 and not a multiple of 8, on the bundled build). Holding every
-forward at one thread makes its values those of the serial pass, whatever N
-is, so a frozen pass and a graph pass agree bit for bit.
+depend on OpenBLAS's thread count (on the bundled build, a (s x 64) @
+(64 x s) score product at most s past about 100 that are not a multiple of
+8; no linear map of the BERT-width plans). A graph forward keeps
+OpenBLAS's threads but forms its score stack inside :func:`one_blas_thread`
+too, so a frozen pass and a graph pass agree bit for bit whatever N is.
 
 OpenBLAS is found as the ``libscipy_openblas*`` that numpy ships in its
 ``numpy.libs`` folder. Its ``openblas_set_num_threads_local`` acts on the
@@ -107,9 +108,8 @@ def run(fn: Callable[[T], object], items: Sequence[T]) -> None:
 
     In a :func:`one_blas_thread` block the calling thread and up to N - 1 pool
     threads take the items in turn. Elsewhere, and for a call made from
-    inside an item, the items run here in order. Once every thread has
-    stopped, the first exception an item raised is raised here; an item
-    that raises ends the run.
+    inside an item, the items run here in order. An item that raises ends
+    the run: once every thread has stopped, its exception is raised here.
     """
     global _pool, _pool_size
     n = min(len(items), getattr(_local, "workers", None) or 1)
@@ -143,8 +143,11 @@ def run(fn: Callable[[T], object], items: Sequence[T]) -> None:
         take()
     finally:
         _local.workers = outer
-        wait(helpers)
-    for helper in helpers:
+        # a helper not yet started, or never to start (in a child forked
+        # after the pool began), has nothing left to take
+        started = [helper for helper in helpers if not helper.cancel()]
+        wait(started)
+    for helper in started:
         helper.result()
 
 

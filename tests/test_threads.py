@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -25,7 +26,8 @@ def _within(seconds, body):
             body()
         except BaseException as exc:  # handed to the test thread below
             errors.append(exc)
-    worker = threading.Thread(target=target)
+    # a daemon, so that a body that hangs fails the test rather than blocking exit
+    worker = threading.Thread(target=target, daemon=True)
     worker.start()
     worker.join(timeout=seconds)
     assert not worker.is_alive()
@@ -72,6 +74,22 @@ def test_an_item_that_raises_ends_the_run(fake_blas):
         _within(60, body)
     assert len(ran) < 100
     assert fake_blas == [1, 4]
+
+
+def test_run_finishes_when_no_pool_thread_starts(fake_blas, monkeypatch):
+    # as in a child forked after the pool began: the pool's threads are gone
+    class Stalled:
+        def submit(self, fn):
+            return Future()
+    monkeypatch.setattr(threads, "_pool", Stalled())
+    monkeypatch.setattr(threads, "_pool_size", 3)
+    done = []
+
+    def body():
+        with threads.one_blas_thread():
+            threads.run(done.append, range(100))
+    _within(10, body)
+    assert done == list(range(100))
 
 
 def test_run_outside_a_hold_is_serial():
