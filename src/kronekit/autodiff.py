@@ -16,7 +16,8 @@ the model's forward then holds only its trace plus one block per thread
 ``linear``, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the
 same order as the separate textbook ops, so their values do not depend on
-whether a graph is recorded. ``linear`` adds its residual and bias, scales
+whether a graph is recorded, wherever a GEMM's bits do not depend on its
+row count (see :mod:`kronekit.model`). ``linear`` adds its residual and bias, scales
 and applies GELU in the kernel's fresh output, in place over fixed blocks
 when no graph is kept; the model's GELU is this one, not ``gelu``. Without
 a graph ``linear`` runs over row chunks, the work items of
@@ -25,13 +26,10 @@ a graph ``linear`` runs over row chunks, the work items of
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import erf
 
 from . import kron, threads
-from .tensor import ShapeError
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -232,7 +230,7 @@ def gelu(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | None = None, *,
            residual: Tensor | None = None, scale: float | None = None,
-           gelu: bool = False, out: np.ndarray | None = None) -> Tensor:
+           gelu: bool = False) -> Tensor:
     """``act(scale * (x @ W^T + residual + bias))`` over the last axis, one node.
 
     ``weight`` is a dense W (out x in) or a pair (A, B) standing for
@@ -244,8 +242,7 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
 
     With no graph to record, the rows go in chunks of at most 1 MiB of input
     or output (:func:`threads.split`), each a work item of ``threads.run``
-    that writes its slice of ``out``: a fresh array, or the C-contiguous
-    array given. Every value equals that of one unsplit call.
+    that writes its slice of one output array.
     """
     xv = x.value
     factors = (weight,) if isinstance(weight, Tensor) else tuple(weight)
@@ -254,9 +251,7 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     parents = ((residual,) if residual is not None else ()) + (x, *factors) \
         + ((bias,) if bias is not None else ())
     if not any(p.requires_grad for p in parents):
-        return Tensor(_linear_rows(xv, factors, bias, residual, scale, gelu, out))
-    if out is not None:
-        raise ValueError("linear: out= is for a pass that records no graph")
+        return Tensor(_linear_rows(xv, factors, bias, residual, scale, gelu))
     out = _epilogue(_kernel(xv, factors), None if residual is None else residual.value,
                     bias, scale)
     if gelu:
@@ -295,7 +290,7 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
                 a._accumulate((gi @ bv).reshape(m1, t * n2) @ xk.T)
             if b.requires_grad:
                 b._accumulate(gi.T @ (av @ xk).reshape(m1 * t, n2))
-    return Tensor(out, parents=parents, backward=backward)
+    return Tensor(out, requires_grad=True, parents=parents, backward=backward)
 
 
 def _kernel(xv: np.ndarray, factors: tuple, out: np.ndarray | None = None) -> np.ndarray:
@@ -326,30 +321,30 @@ def as_rows(v: np.ndarray) -> np.ndarray:
     return v.reshape(-1, *(1,) * single, v.shape[-1])
 
 
-def _linear_rows(xv, factors, bias, residual, scale, gelu, out):
-    """The no-graph ``linear``, over row chunks shared by ``threads.run``;
-    one chunk with no ``out`` is one call, as with a graph."""
-    n_out = math.prod(f.value.shape[0] for f in factors)
+def _linear_rows(xv, factors, bias, residual, scale, gelu):
+    """The no-graph ``linear``: one call when the rows fit one chunk, else
+    row chunks shared by ``threads.run``."""
     rv = None if residual is None else residual.value
-
-    def apply(x: np.ndarray, y: np.ndarray | None = None, r: np.ndarray | None = rv):
-        y = _epilogue(_kernel(x, factors, y), r, bias, scale)
+    width = xv.shape[-1]
+    n_out = factors[0].value.shape[0] * (factors[1].value.shape[0] if len(factors) == 2 else 1)
+    most = _CHUNK_BYTES // (8 * max(width, n_out))  # rows per chunk
+    if xv.size <= most * width:
+        y = _epilogue(_kernel(xv, factors), rv, bias, scale)
         if gelu:
             _gelu_in_place(y)
         return y
-
-    most = _CHUNK_BYTES // (8 * max(xv.shape[-1], n_out))  # rows per chunk
-    if out is None and xv.size <= most * xv.shape[-1]:
-        return apply(xv)
-    if out is None:
-        out = np.empty((*xv.shape[:-1], n_out))
-    elif out.shape != (*xv.shape[:-1], n_out) or not out.flags.c_contiguous:
-        raise ShapeError(f"linear: out must be a C-contiguous {(*xv.shape[:-1], n_out)} array")
+    out = np.empty((*xv.shape[:-1], n_out))
     xs = as_rows(xv)
     ys = out.reshape(*xs.shape[:-1], n_out)
     rs = None if rv is None else np.broadcast_to(rv, out.shape).reshape(ys.shape)
-    threads.run(lambda rows: apply(xs[rows], ys[rows], None if rs is None else rs[rows]),
-                threads.split(len(xs), most))
+
+    def chunk(rows: slice) -> None:
+        y = _epilogue(_kernel(xs[rows], factors, ys[rows]), None if rs is None else rs[rows],
+                      bias, scale)
+        if gelu:
+            _gelu_in_place(y)
+
+    threads.run(chunk, threads.split(len(xs), most))
     return out
 
 

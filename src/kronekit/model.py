@@ -14,11 +14,15 @@ chunks. Its trace keeps each layer's scaled Q and K in place of the
 
 Those blocks are work items that the calling thread shares with a pool: a
 frozen forward runs them on as many threads as OpenBLAS was given
-(:mod:`kronekit.threads`), and holds OpenBLAS at one thread meanwhile. The
-values are the same: each block runs the GEMMs and ufuncs of the unblocked,
-serial pass, bit for bit, whatever the thread count. A score GEMM's bits do
-depend on OpenBLAS's thread count, so a graph forward, which keeps
-OpenBLAS's threads, forms its scores on one thread as well.
+(:mod:`kronekit.threads`), and holds OpenBLAS at one thread meanwhile. A
+score GEMM's bits depend on OpenBLAS's thread count, so every score product
+runs on one thread: a graph forward's, the deferred stack's, and the
+blocks of a frozen layer in a model that trains others. Each block runs the
+GEMMs and ufuncs of the unblocked, serial pass, so the values are the same
+whatever the thread count, wherever a GEMM's bits do not depend on its row
+count. That holds for the plans the tests run; in the bundled OpenBLAS it
+fails for a GEMM with few output columns over a long input, as in a plan
+whose FFN factor B has one or three rows.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -222,7 +226,8 @@ def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
     softmax in place there, so a block holds one score array. Each block's
     product is written through a (b, h, s, dk) view of the (b, s, h, dk)
     output, so no permuted copy is made; every slice is the same GEMM as in
-    the unblocked product.
+    the unblocked product. The blocks run on one OpenBLAS thread, as every
+    score product does, also when the forward as a whole records a graph.
     """
     b, h, s, dk = v.shape
     heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
@@ -234,8 +239,9 @@ def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
         scores = np.matmul(q[blk], k[blk])
         np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
 
-    threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
-                        for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
+    with threads.one_blas_thread():  # also in a frozen layer of a model that trains
+        threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
+                            for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
     return Tensor(ctx.reshape(b, s, h * dk))
 
 
@@ -256,16 +262,16 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int)
     def rows(x: Tensor) -> Tensor:  # the hidden is freed before the LayerNorm
         return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x), gamma, beta)
 
-    tokens = ad.as_rows(x.value)
-    blocks = threads.split(len(tokens), _FFN_BLOCK // ffn_dim)
-    if len(blocks) == 1 or _records_graph(params, prefix, x):
+    most = _FFN_BLOCK // ffn_dim
+    if x.value.size <= most * x.shape[-1] or _records_graph(params, prefix, x):
         return rows(x)
+    tokens = ad.as_rows(x.value)
     out = np.empty_like(tokens)
 
     def block(lines: slice) -> None:
         out[lines] = rows(Tensor(tokens[lines])).value
 
-    threads.run(block, blocks)
+    threads.run(block, threads.split(len(tokens), most))
     return Tensor(out.reshape(x.shape))
 
 

@@ -10,12 +10,13 @@ so the GEMMs lose nothing and the elementwise work (GELU, softmax,
 LayerNorm) gains the other cores. ``OPENBLAS_NUM_THREADS=1`` thus gives a
 serial pass.
 
-A GEMM's bits do not depend on its row count, but for some shapes they do
-depend on OpenBLAS's thread count (on the bundled build, a (s x 64) @
-(64 x s) score product at most s past about 100 that are not a multiple of
-8; no linear map of the BERT-width plans). A graph forward keeps
-OpenBLAS's threads but forms its score stack inside :func:`one_blas_thread`
-too, so a frozen pass and a graph pass agree bit for bit whatever N is.
+For some shapes a GEMM's bits depend on OpenBLAS's thread count: on the
+bundled build, a (s x 64) @ (64 x s) score product at most s past about
+100 that are not a multiple of 8, and no linear map of the BERT-width plans
+the tests run. So every score product runs inside :func:`one_blas_thread`,
+also in a forward that records a graph and otherwise keeps OpenBLAS's
+threads. (A GEMM's bits may also depend on its row count, which blocking
+changes; see :mod:`kronekit.model`.)
 
 OpenBLAS is found as the ``libscipy_openblas*`` that numpy ships in its
 ``numpy.libs`` folder. Its ``openblas_set_num_threads_local`` acts on the

@@ -14,7 +14,7 @@ from kronekit.kron import KronFactorPair, kron_product
 from kronekit.model import (DenseWeight, KronWeight, TransformerModel, attention_forward,
                             build_dense_model, embed, forward, init_student_from_teacher,
                             layout, model_from_store, model_to_store)
-from kronekit.planner import ArchSpec, make_plan
+from kronekit.planner import ArchSpec, make_plan, plan_for_ratio
 from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
 
 from conftest import config_path
@@ -336,9 +336,11 @@ def bert_models():
     return {name: model.freeze() for name, model in models.items()}
 
 
-def _trainable(model):
-    """The same weight arrays as tensors that require grad."""
-    return TransformerModel(model.arch, {name: ad.Tensor(t.value, requires_grad=True)
+def _trainable(model, frozen=()):
+    """The same weight arrays as tensors that require grad, except those
+    whose names start with one of the ``frozen`` prefixes."""
+    return TransformerModel(model.arch, {name: ad.Tensor(t.value,
+                                                         requires_grad=not name.startswith(frozen))
                                          for name, t in model.params.items()})
 
 
@@ -361,12 +363,16 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
     # the FFN over 7 blocks of 82 or 83 tokens; (2, 64) fits in one attention
     # block and runs the FFN over 2 blocks of 64 tokens.
     # LayerNorm runs after the embedding, after attention and per FFN block.
+    # A plan_for_ratio plan whose factors have sides of 3 and 4 runs too.
+    dense = bert_models["dense"]
+    models = {**bert_models, "ratio4": init_student_from_teacher(
+        dense, plan_for_ratio(dense.arch, 4.0))[0].freeze()}
     softmax = _count_calls(monkeypatch, "softmax_last")
     norms = _count_calls(monkeypatch, "layer_norm")
     for shape, softmax_calls, ffn_blocks in (((3, 180), 6, 7), ((12, 48), 2, 7),
                                              ((2, 64), 1, 2)):
         ids = make_rng(24).integers(0, 512, size=shape)
-        for model in bert_models.values():
+        for model in models.values():
             live = _trace_tensors(forward(_trainable(model), ids))
             assert (len(softmax), len(norms)) == (1, 3)
             softmax.clear()
@@ -378,6 +384,15 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
             for a, b in zip(live, frozen, strict=True):
                 assert a._parents and not b._parents
                 assert np.array_equal(a.value, b.value)
+    # A frozen attention sublayer of a model that trains its FFN forms its
+    # scores as a frozen model does, also at a ragged length, where a score
+    # GEMM's bits depend on OpenBLAS's thread count.
+    ids = make_rng(24).integers(0, 512, size=(3, 181))
+    for model in models.values():
+        part = forward(_trainable(model, frozen=("embedding.", "layer.0.attn.")), ids)
+        assert part.ffn_out[0]._parents and not part.attn_out[0]._parents
+        for a, b in zip(_trace_tensors(part), _trace_tensors(forward(model, ids)), strict=True):
+            assert np.array_equal(a.value, b.value)
 
 
 def _blas_threads():
