@@ -1,5 +1,6 @@
 """Kronecker-decomposition compression toolkit for Transformer weights."""
 
+from . import threads  # first: numpy's OpenBLAS runs one thread from here on
 from .kron import (FactorShape, KronFactorPair, dense_matvec_flops, kron_apply,
                    kron_flops, kron_product)
 from .nkp import NkpResult, nearest_kronecker, rearrange

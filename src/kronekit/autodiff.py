@@ -18,10 +18,12 @@ allocate themselves (never on an input), with the same operations in the
 same order as the separate textbook ops, so their values do not depend on
 whether a graph is recorded, wherever a GEMM's bits do not depend on its
 row count (see :mod:`kronekit.model`). ``linear`` adds its residual and bias, scales
-and applies GELU in the kernel's fresh output, in place over fixed blocks
-when no graph is kept; the model's GELU is this one, not ``gelu``. Without
-a graph ``linear`` runs over row chunks, the work items of
-:func:`threads.run`, and layernorm returns its own buffer as the output.
+and applies GELU in the kernel's fresh output, in place when no graph is
+kept; the model's GELU is this one, not ``gelu``. Without a graph
+``linear`` runs over row chunks, the work items of :func:`threads.run`,
+and layernorm returns its own buffer as the output. Every GEMM runs on one
+OpenBLAS thread: importing kronekit sets that for the process
+(:mod:`kronekit.threads`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from . import kron, threads
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_GELU_BLOCK = 1 << 17  # elements (1 MiB of float64) per in-place GELU block
 _CHUNK_BYTES = 1 << 20  # input or output bytes per row chunk of a no-graph linear
 _LN_EPS = 1e-6
 
@@ -202,17 +203,6 @@ def _gelu_cdf(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gelu_in_place(v: np.ndarray) -> None:
-    """v <- v Phi(v) block by block, so the only scratch array is one block.
-
-    ``v`` must be C-contiguous: it is written through a flat view."""
-    flat = v.reshape(-1)
-    buf = np.empty(min(flat.size, _GELU_BLOCK))
-    for lo in range(0, flat.size, _GELU_BLOCK):
-        block = flat[lo:lo + _GELU_BLOCK]
-        block *= _gelu_cdf(block, buf[:block.size])
-
-
 def _gelu_grad(g: np.ndarray, v: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     pdf = _INV_SQRT2PI * np.exp(-0.5 * v * v)
     return g * (cdf + v * pdf)
@@ -331,7 +321,7 @@ def _linear_rows(xv, factors, bias, residual, scale, gelu):
     if xv.size <= most * width:
         y = _epilogue(_kernel(xv, factors), rv, bias, scale)
         if gelu:
-            _gelu_in_place(y)
+            y *= _gelu_cdf(y, np.empty_like(y))  # y is at most one chunk
         return y
     out = np.empty((*xv.shape[:-1], n_out))
     xs = as_rows(xv)
@@ -342,7 +332,7 @@ def _linear_rows(xv, factors, bias, residual, scale, gelu):
         y = _epilogue(_kernel(xs[rows], factors, ys[rows]), None if rs is None else rs[rows],
                       bias, scale)
         if gelu:
-            _gelu_in_place(y)
+            y *= _gelu_cdf(y, np.empty_like(y))
 
     threads.run(chunk, threads.split(len(xs), most))
     return out

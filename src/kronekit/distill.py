@@ -14,11 +14,12 @@ runs only when a term reads it. ``train_teacher`` is the one teacher recipe
 (a dense draw from ``seed + 1``, ``no_kd`` SGD at lr 0.3, frozen), used by
 the CLI and ``run_ablation``.
 
-Training is plain SGD, single-threaded, and bit-deterministic for a fixed
-seed; only a frozen teacher's forward may share its blocks among threads,
-which leaves its values unchanged. History rows deliberately carry no
-timestamps so replays are byte-identical; wall time is reported separately
-by the CLI.
+Training is plain SGD and bit-deterministic for a fixed seed. Its GEMMs
+run on the one OpenBLAS thread that importing kronekit sets
+(:mod:`kronekit.threads`), and only a frozen teacher's forward shares its
+blocks among threads, which leaves its values unchanged. History rows
+deliberately carry no timestamps so replays are byte-identical; wall time
+is reported separately by the CLI.
 """
 
 from __future__ import annotations

@@ -12,13 +12,10 @@ rows, attention over blocks of score slices and each linear map over row
 chunks. Its trace keeps each layer's scaled Q and K in place of the
 (batch, heads, seq, seq) score stack, which is formed only when read.
 
-Those blocks are work items that the calling thread shares with a pool: a
-frozen forward runs them on as many threads as OpenBLAS was given
-(:mod:`kronekit.threads`), and holds OpenBLAS at one thread meanwhile. A
-score GEMM's bits depend on OpenBLAS's thread count, so every score product
-runs on one thread: a graph forward's, the deferred stack's, and the
-blocks of a frozen layer in a model that trains others. Each block runs the
-GEMMs and ufuncs of the unblocked, serial pass, so the values are the same
+Those blocks are work items that the calling thread shares with a pool
+of as many threads as OpenBLAS was given at import, while every GEMM runs
+on one OpenBLAS thread (:mod:`kronekit.threads`). Each block runs the GEMMs
+and ufuncs of the unblocked, serial pass, so the values are the same
 whatever the thread count, wherever a GEMM's bits do not depend on its row
 count. That holds for the plans the tests run; in the bundled OpenBLAS it
 fails for a GEMM with few output columns over a long input, as in a plan
@@ -32,7 +29,6 @@ FLOP counts all walk it.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +173,7 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     q = project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)  # (b, h, s, dk)
     k = project("k").permute(0, 2, 3, 1)                           # (b, h, dk, s)
     if _records_graph(params, prefix, x):
-        with threads.one_blas_thread():  # as a frozen pass forms each block
-            scores = q @ k
+        scores = q @ k
         v = project("v").permute(0, 2, 1, 3)
         ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
     else:
@@ -204,8 +199,7 @@ class FrozenScores(Tensor):
     @property
     def value(self) -> np.ndarray:
         if self._qk is not None:
-            with threads.one_blas_thread():  # as the forward formed each block
-                Tensor.value.__set__(self, np.matmul(*self._qk))
+            Tensor.value.__set__(self, np.matmul(*self._qk))
             self._qk = None
         return Tensor.value.__get__(self)
 
@@ -226,8 +220,7 @@ def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
     softmax in place there, so a block holds one score array. Each block's
     product is written through a (b, h, s, dk) view of the (b, s, h, dk)
     output, so no permuted copy is made; every slice is the same GEMM as in
-    the unblocked product. The blocks run on one OpenBLAS thread, as every
-    score product does, also when the forward as a whole records a graph.
+    the unblocked product.
     """
     b, h, s, dk = v.shape
     heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
@@ -239,9 +232,8 @@ def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
         scores = np.matmul(q[blk], k[blk])
         np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
 
-    with threads.one_blas_thread():  # also in a frozen layer of a model that trains
-        threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
-                            for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
+    threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
+                        for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
     return Tensor(ctx.reshape(b, s, h * dk))
 
 
@@ -276,42 +268,37 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int)
 
 
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
-    """Full forward pass capturing all distillation features. The pass of a
-    frozen model (no parameter requires grad) runs its GEMMs on one OpenBLAS
-    thread and shares its blocks among the threads OpenBLAS had
-    (:func:`threads.one_blas_thread`)."""
-    frozen = not any(t.requires_grad for t in model.params.values())
-    with threads.one_blas_thread() if frozen else nullcontext():
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim == 1:
-            ids = ids[None, :]
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise ShapeError(f"token ids must be (batch, seq) or (seq,), got {ids.shape}")
-        b, s = ids.shape
-        if s > model.arch.max_seq_len:
-            raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
-        p, arch = model.params, model.arch
-        x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"],
-                                                                np.arange(s))
-        if arch.has_segment_embeddings:              # every token is in segment 0
-            x = x + ad.gather_rows(p["embedding.segment"], [0])
-        x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
-        trace = ForwardTrace(E=x)
-        for i in range(arch.layers):
-            attn = f"layer.{i}.attn"
-            a, scores = attention_forward(p, attn, x, arch.heads)
-            a = x + a                                # frees the projection
-            x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
-            del a                                    # before the FFN runs
-            trace.attn_scores.append(scores)
-            trace.attn_out.append(x)
-            x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
-            trace.ffn_out.append(x)
-        pooled = x.mean(axis=1)                      # (batch, d)
-        if arch.has_pooler:
-            pooled = ad.tanh(ad.linear(pooled, p["pooler.weight"], p.get("pooler.bias")))
-        trace.logits = ad.linear(pooled, p["head.weight"], p["head.bias"])
-        return trace
+    """Full forward pass capturing all distillation features."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ShapeError(f"token ids must be (batch, seq) or (seq,), got {ids.shape}")
+    b, s = ids.shape
+    if s > model.arch.max_seq_len:
+        raise ShapeError(f"sequence length {s} exceeds max {model.arch.max_seq_len}")
+    p, arch = model.params, model.arch
+    x = embed(weight(p, "embedding"), ids) + ad.gather_rows(p["embedding.position"],
+                                                            np.arange(s))
+    if arch.has_segment_embeddings:              # every token is in segment 0
+        x = x + ad.gather_rows(p["embedding.segment"], [0])
+    x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
+    trace = ForwardTrace(E=x)
+    for i in range(arch.layers):
+        attn = f"layer.{i}.attn"
+        a, scores = attention_forward(p, attn, x, arch.heads)
+        a = x + a                                # frees the projection
+        x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+        del a                                    # before the FFN runs
+        trace.attn_scores.append(scores)
+        trace.attn_out.append(x)
+        x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
+        trace.ffn_out.append(x)
+    pooled = x.mean(axis=1)                      # (batch, d)
+    if arch.has_pooler:
+        pooled = ad.tanh(ad.linear(pooled, p["pooler.weight"], p.get("pooler.bias")))
+    trace.logits = ad.linear(pooled, p["head.weight"], p["head.bias"])
+    return trace
 
 
 # ------------------------------------------------------------- construction

@@ -1,56 +1,38 @@
-"""A frozen forward's GEMMs on one OpenBLAS thread, its work items on N threads.
+"""One OpenBLAS thread for the process, and work items shared among N threads.
 
-A frozen forward runs inside :func:`one_blas_thread`. On entry it reads how
-many threads numpy's OpenBLAS was given, N, and holds OpenBLAS at one
-thread until it exits. Meanwhile :func:`run` shares the forward's work
-items between the calling thread and N - 1 pool threads. Two BLAS threads
-under two Python threads would fight for the same cores, while two
-one-thread GEMMs side by side take as long as two N-thread GEMMs in turn;
-so the GEMMs lose nothing and the elementwise work (GELU, softmax,
-LayerNorm) gains the other cores. ``OPENBLAS_NUM_THREADS=1`` thus gives a
-serial pass.
-
-For some shapes a GEMM's bits depend on OpenBLAS's thread count: on the
-bundled build, a (s x 64) @ (64 x s) score product at most s past about
-100 that are not a multiple of 8, and no linear map of the BERT-width plans
-the tests run. So every score product runs inside :func:`one_blas_thread`,
-also in a forward that records a graph and otherwise keeps OpenBLAS's
-threads. (A GEMM's bits may also depend on its row count, which blocking
-changes; see :mod:`kronekit.model`.)
+Importing kronekit imports this module, which reads how many threads
+numpy's OpenBLAS was given, N, and sets OpenBLAS to one thread for the rest
+of the process. So every GEMM and SVD gives its one-thread bits, whatever
+``OPENBLAS_NUM_THREADS`` says: some of them (a score product at a ragged
+length, the NKP of the compressed weights) round otherwise on more threads.
+N sizes the pool that :func:`run` shares a frozen forward's work items with:
+the calling thread and N - 1 pool threads. Two one-thread GEMMs side by side
+take as long as two N-thread GEMMs in turn, so the GEMMs lose little and the
+elementwise work (GELU, softmax, LayerNorm) gains the other cores. A forward
+that records a graph runs its GEMMs on the one thread and is not split.
+``OPENBLAS_NUM_THREADS=1`` gives a serial pass.
 
 OpenBLAS is found as the ``libscipy_openblas*`` that numpy ships in its
 ``numpy.libs`` folder. Its ``openblas_set_num_threads_local`` acts on the
-whole process in that build, so the process-wide count is set and restored.
-Where no such library is found, N is 1 and every item runs in the caller,
-in order. The thread count and the pool belong to the process, so they are
-module state, guarded by one lock.
+whole process in that build, so the process-wide count is set. Where no such
+library is found, N is 1 and every item runs in the caller, in order.
 """
 
 from __future__ import annotations
 
 import collections
 import ctypes
-import functools
 import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
-_lock = threading.Lock()
-_holds = 0         # one_blas_thread blocks in progress, in any thread
-_entry = 1         # OpenBLAS's thread count when the first of them began
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-_local = threading.local()  # .workers: threads a run() here may use
 
-
-@functools.cache
 def blas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) of the process-wide thread count of numpy's bundled
     OpenBLAS, or None where it cannot be controlled."""
@@ -67,60 +49,40 @@ def blas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
-@contextmanager
-def one_blas_thread() -> Iterator[None]:
-    """Within the block OpenBLAS runs on one thread, and :func:`run` in
-    this thread shares its items among as many threads as OpenBLAS had.
-
-    Blocks may overlap, in one thread or several: the first to enter reads
-    the count and the last to leave restores it, also when the block
-    raises. A block entered inside a work item stays serial.
-    """
-    global _holds, _entry
+def _blas_workers() -> int:
+    """OpenBLAS's thread count, N, after setting it to one thread."""
     fns = blas()
     if fns is None:
-        yield
-        return
+        return 1
     get, set_ = fns
-    with _lock:
-        if _holds == 0:
-            _entry = max(1, get())
-            set_(1)
-        _holds += 1
-        workers = _entry
-    outer = getattr(_local, "workers", None)
-    _local.workers = workers if outer is None else outer
-    try:
-        yield
-    finally:
-        _local.workers = outer
-        with _lock:
-            _holds -= 1
-            if _holds == 0:
-                set_(_entry)
+    workers = max(1, get())
+    set_(1)
+    return workers
 
 
-def _serial() -> None:
-    _local.workers = 1  # a split asked for inside an item runs in order
+_workers = _blas_workers()  # threads a run() shares its items among
+# its threads start at the first submit, not here
+_pool = ThreadPoolExecutor(_workers - 1, "kronekit") if _workers > 1 else None
+_local = threading.local()  # .busy: this thread is taking a run()'s items
 
 
 def run(fn: Callable[[T], object], items: Sequence[T]) -> None:
     """``fn(item)`` for every item, for its side effects.
 
-    In a :func:`one_blas_thread` block the calling thread and up to N - 1 pool
-    threads take the items in turn. Elsewhere, and for a call made from
-    inside an item, the items run here in order. An item that raises ends
-    the run: once every thread has stopped, its exception is raised here.
+    The calling thread and up to N - 1 pool threads take the items in turn.
+    A call made from inside an item runs its items there, in order. An item
+    that raises ends the run: once every thread has stopped, its exception
+    is raised here.
     """
-    global _pool, _pool_size
-    n = min(len(items), getattr(_local, "workers", None) or 1)
-    if n <= 1:
+    n = min(len(items), _workers)
+    if n <= 1 or getattr(_local, "busy", False):
         for item in items:
             fn(item)
         return
     todo = collections.deque(items)  # popleft is atomic
 
     def take() -> None:
+        _local.busy = True
         try:
             while todo:
                 try:
@@ -131,19 +93,13 @@ def run(fn: Callable[[T], object], items: Sequence[T]) -> None:
         except BaseException:
             todo.clear()
             raise
+        finally:
+            _local.busy = False
 
-    with _lock:  # a pool is replaced only here, so no item goes to a shut-down one
-        if _pool_size < n - 1:
-            if _pool is not None:
-                _pool.shutdown(wait=False)  # its queued items still run
-            _pool = ThreadPoolExecutor(n - 1, "kronekit", initializer=_serial)
-            _pool_size = n - 1
-        helpers = [_pool.submit(take) for _ in range(n - 1)]
-    outer, _local.workers = _local.workers, 1
+    helpers = [_pool.submit(take) for _ in range(n - 1)]
     try:
         take()
     finally:
-        _local.workers = outer
         # a helper not yet started, or never to start (in a child forked
         # after the pool began), has nothing left to take
         started = [helper for helper in helpers if not helper.cancel()]

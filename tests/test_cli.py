@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -586,3 +589,26 @@ def test_pipeline_at_bert_width(tmp_path, capsys, shapes):
         [t.E, *t.attn_scores, *t.attn_out, *t.ffn_out, t.logits],
         [r.E, *r.attn_scores, *r.attn_out, *r.ffn_out, r.logits], strict=True))
     assert worst < 1e-10
+
+
+def test_compress_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    # The NKP's SVDs round otherwise on two OpenBLAS threads than on one, and
+    # importing kronekit sets one thread whatever the environment says.
+    arch = replace(ArchSpec.load(BERT_ARCH), layers=1, vocab_size=512)
+    arch_path, plan_path = tmp_path / "arch.json", tmp_path / "plan.json"
+    arch_path.write_text(json.dumps(asdict(arch)))
+    model_to_store(build_dense_model(arch, make_rng(23))).save(tmp_path / "dense.kts")
+    assert main(["plan", str(arch_path), "--shapes", config_path("kron19_shapes.json"),
+                 "--out", str(plan_path)]) == 0
+
+    def compress(threads: str) -> bytes:
+        out = tmp_path / f"student_{threads}.kts"
+        proc = subprocess.run([sys.executable, "-m", "kronekit.cli", "compress",
+                               str(tmp_path / "dense.kts"), str(plan_path),
+                               "--arch", str(arch_path), "--out", str(out)],
+                              env=os.environ | {"OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    assert compress("1") == compress("2")

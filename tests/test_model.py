@@ -2,6 +2,7 @@ import hashlib
 import re
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -386,7 +387,7 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
                 assert np.array_equal(a.value, b.value)
     # A frozen attention sublayer of a model that trains its FFN forms its
     # scores as a frozen model does, also at a ragged length, where a score
-    # GEMM's bits depend on OpenBLAS's thread count.
+    # GEMM's bits would depend on OpenBLAS's thread count.
     ids = make_rng(24).integers(0, 512, size=(3, 181))
     for model in models.values():
         part = forward(_trainable(model, frozen=("embedding.", "layer.0.attn.")), ids)
@@ -395,20 +396,16 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
             assert np.array_equal(a.value, b.value)
 
 
-def _blas_threads():
-    """OpenBLAS's thread count getter, or a skip where it cannot be read."""
-    blas = threads.blas()
-    if blas is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be controlled here")
-    return blas[0]
-
-
 def test_frozen_forward_shares_attention_blocks_among_threads(bert_models, monkeypatch):
     # at (1, 384) attention runs as 12 one-head blocks, taken in turn by the
     # caller and the pool, each on one OpenBLAS thread
-    get = _blas_threads()
-    if get() < 2:
-        pytest.skip("OpenBLAS reports one thread")
+    blas = threads.blas()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be controlled here")
+    get = blas[0]
+    pool = ThreadPoolExecutor(1, "kronekit-test")
+    monkeypatch.setattr(threads, "_workers", 2)
+    monkeypatch.setattr(threads, "_pool", pool)
     seen = []
     softmax = ad.softmax_last
 
@@ -416,21 +413,13 @@ def test_frozen_forward_shares_attention_blocks_among_threads(bert_models, monke
         seen.append((threading.get_ident(), get()))
         return softmax(*args, **kwargs)
     monkeypatch.setattr(ad, "softmax_last", recorded)
-    forward(bert_models["kron19"], make_rng(31).integers(0, 512, size=(1, 384)))
+    try:
+        forward(bert_models["kron19"], make_rng(31).integers(0, 512, size=(1, 384)))
+    finally:
+        pool.shutdown()
     assert len(seen) == 12
     assert len({ident for ident, _ in seen}) > 1
     assert {count for _, count in seen} == {1}
-
-
-def test_forward_restores_the_blas_thread_count(bert_models):
-    get = _blas_threads()
-    entry = get()
-    model = bert_models["kron19"]
-    forward(model, make_rng(32).integers(0, 512, size=(2, 64)))
-    assert get() == entry
-    with pytest.raises(IndexError, match="token id 512 out of range"):
-        forward(model, np.array([[3, 512]]))
-    assert get() == entry
 
 
 def _held_bytes(trace):

@@ -1,20 +1,26 @@
+import os
+import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
 from kronekit import threads
 
+from conftest import config_path
+
 
 @pytest.fixture
-def fake_blas(monkeypatch):
-    """A stand-in for numpy's OpenBLAS that reports four threads and records
-    each count set, so the pool runs more threads than this box has cores."""
-    counts = []
-    monkeypatch.setattr(threads, "blas", lambda: (lambda: 4, counts.append))
-    return counts
+def four_workers(monkeypatch):
+    """Four workers, as if OpenBLAS had been given four threads at import, so
+    the pool runs more threads than this box has cores."""
+    pool = ThreadPoolExecutor(3, "kronekit-test")
+    monkeypatch.setattr(threads, "_workers", 4)
+    monkeypatch.setattr(threads, "_pool", pool)
+    yield
+    pool.shutdown()
 
 
 def _within(seconds, body):
@@ -35,7 +41,7 @@ def _within(seconds, body):
         raise errors[0]
 
 
-def test_run_takes_every_item_once(fake_blas):
+def test_run_takes_every_item_once(four_workers):
     done, idents = [], set()
 
     def item(i):
@@ -43,8 +49,7 @@ def test_run_takes_every_item_once(fake_blas):
         threads.run(lambda j: done.append((i, j)), range(3))  # nested: in order, here
 
     def body():
-        with threads.one_blas_thread():
-            threads.run(item, range(2000))
+        threads.run(item, range(2000))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -55,10 +60,9 @@ def test_run_takes_every_item_once(fake_blas):
     for i in range(2000):
         assert [j for k, j in done if k == i] == [0, 1, 2]
     assert len(idents) > 1
-    assert fake_blas == [1, 4]
 
 
-def test_an_item_that_raises_ends_the_run(fake_blas):
+def test_an_item_that_raises_ends_the_run(four_workers):
     ran = []
 
     def item(i):
@@ -67,35 +71,61 @@ def test_an_item_that_raises_ends_the_run(fake_blas):
             raise ValueError("item 5")
         time.sleep(0.001)
 
-    def body():
-        with threads.one_blas_thread():
-            threads.run(item, range(1000))
     with pytest.raises(ValueError, match="item 5"):
-        _within(60, body)
+        _within(60, lambda: threads.run(item, range(1000)))
     assert len(ran) < 100
-    assert fake_blas == [1, 4]
 
 
-def test_run_finishes_when_no_pool_thread_starts(fake_blas, monkeypatch):
+def test_run_finishes_when_no_pool_thread_starts(four_workers, monkeypatch):
     # as in a child forked after the pool began: the pool's threads are gone
     class Stalled:
         def submit(self, fn):
             return Future()
     monkeypatch.setattr(threads, "_pool", Stalled())
-    monkeypatch.setattr(threads, "_pool_size", 3)
     done = []
-
-    def body():
-        with threads.one_blas_thread():
-            threads.run(done.append, range(100))
-    _within(10, body)
+    _within(10, lambda: threads.run(done.append, range(100)))
     assert done == list(range(100))
 
 
-def test_run_outside_a_hold_is_serial():
+def test_run_on_one_worker_is_serial(monkeypatch):
+    monkeypatch.setattr(threads, "_workers", 1)
     order = []
     threads.run(lambda i: order.append((i, threading.get_ident())), range(50))
     assert order == [(i, threading.get_ident()) for i in range(50)]
+
+
+# OpenBLAS's thread count and the worker count, after the import, after a
+# forward whose 12 attention blocks go to the pool, and after a forward that
+# raises
+_POLICY = """
+from dataclasses import replace
+import numpy as np
+from kronekit import threads
+from kronekit.model import build_dense_model, forward
+from kronekit.planner import ArchSpec
+from kronekit.tensor import make_rng
+
+get = threads.blas()[0]
+print(get(), threads._workers)
+arch = replace(ArchSpec.load({arch!r}), layers=1, vocab_size=512)
+model = build_dense_model(arch, make_rng(0)).freeze()
+forward(model, make_rng(1).integers(0, 512, size=(1, 384)))
+print(get(), threads._workers)
+try:
+    forward(model, np.array([[3, 512]]))
+except IndexError:
+    print(get(), threads._workers)
+"""
+
+
+def test_import_sets_blas_to_one_thread_and_sizes_the_pool():
+    if threads.blas() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be controlled here")
+    script = _POLICY.format(arch=config_path("bert_base.json"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=os.environ | {"OPENBLAS_NUM_THREADS": "2"}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["1 2", "1 2", "1 2", ""]
 
 
 @pytest.mark.parametrize("rows, most", [(0, 5), (1, 1), (2, 1), (7, 7), (8, 7), (540, 85),
