@@ -1,6 +1,16 @@
-"""Kronecker-decomposition compression toolkit for Transformer weights."""
+"""Kronecker-decomposition compression toolkit for Transformer weights.
 
-from . import threads  # first: numpy's OpenBLAS runs one thread from here on
+Importing the package sets numpy's OpenBLAS to one thread for the rest of
+the host process and never restores it, so the importing program's own numpy
+work runs on one BLAS thread too. The count OpenBLAS had until then fixes
+the size of kronekit's thread pool (:mod:`kronekit.threads`). A later change
+of that count, by threadpoolctl say, is not seen: the pool keeps its size,
+its threads run on top of the BLAS threads, and a GEMM may lose its
+one-thread bits.
+"""
+
+# first: from here on numpy's OpenBLAS runs one thread and the pool's size is fixed
+from . import threads
 from .kron import (FactorShape, KronFactorPair, dense_matvec_flops, kron_apply,
                    kron_flops, kron_product)
 from .nkp import NkpResult, nearest_kronecker, rearrange
