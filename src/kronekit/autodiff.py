@@ -16,14 +16,13 @@ the model's forward then holds only its trace plus one block per thread
 ``linear``, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the
 same order as the separate textbook ops, so their values do not depend on
-whether a graph is recorded, wherever a GEMM's bits do not depend on its
-row count (see :mod:`kronekit.model`). ``linear`` adds its residual and bias, scales
+whether a graph is recorded. ``linear`` adds its residual and bias, scales
 and applies GELU in the kernel's fresh output, in place when no graph is
 kept; the model's GELU is this one, not ``gelu``. Without a graph
-``linear`` runs over row chunks, the work items of :func:`threads.run`,
-and layernorm returns its own buffer as the output. Every GEMM runs on one
-OpenBLAS thread: importing kronekit sets that for the process
-(:mod:`kronekit.threads`).
+layernorm returns its own buffer as the output. No op here splits its
+work: a frozen forward calls them on blocks of rows that the threads of
+:func:`kronekit.threads.run` share (see :mod:`kronekit.model`). Every GEMM
+runs on one OpenBLAS thread: importing kronekit sets that for the process.
 """
 
 from __future__ import annotations
@@ -31,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-from . import kron, threads
+from . import kron
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_CHUNK_BYTES = 1 << 20  # input or output bytes per row chunk of a no-graph linear
 _LN_EPS = 1e-6
 
 
@@ -195,9 +193,15 @@ def concat_last(parts: list[Tensor]) -> Tensor:
 
 
 def _gelu_cdf(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Phi(v) = 0.5 (1 + erf(v / sqrt(2))), written into ``out``."""
+    """Phi(v) = 0.5 (1 + erf(v / sqrt(2))), written into ``out``.
+
+    erf runs on |v| / sqrt(2) and v's sign is copied back: scipy's erf
+    computes erf(-x) as -erf(x), so the bits are its own, and its loop
+    never branches on a sign it cannot predict."""
     np.multiply(v, _INV_SQRT2, out=out)
+    np.abs(out, out=out)
     erf(out, out=out)
+    np.copysign(out, v, out=out)
     out += 1.0
     out *= 0.5
     return out
@@ -229,10 +233,6 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     order in place on the product's fresh array, so each value equals that
     of the separate ops. The backward runs the kernel on the transposed
     factors.
-
-    With no graph to record, the rows go in chunks of at most 1 MiB of input
-    or output (:func:`threads.split`), each a work item of ``threads.run``
-    that writes its slice of one output array.
     """
     xv = x.value
     factors = (weight,) if isinstance(weight, Tensor) else tuple(weight)
@@ -240,10 +240,12 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     # for ``residual + x @ W^T``, so grads accumulate in the same order
     parents = ((residual,) if residual is not None else ()) + (x, *factors) \
         + ((bias,) if bias is not None else ())
-    if not any(p.requires_grad for p in parents):
-        return Tensor(_linear_rows(xv, factors, bias, residual, scale, gelu))
     out = _epilogue(_kernel(xv, factors), None if residual is None else residual.value,
                     bias, scale)
+    if not any(p.requires_grad for p in parents):
+        if gelu:
+            out *= _gelu_cdf(out, np.empty_like(out))
+        return Tensor(out)
     if gelu:
         pre, cdf = out, _gelu_cdf(out, np.empty_like(out))
         out = pre * cdf
@@ -283,11 +285,11 @@ def linear(x: Tensor, weight: Tensor | tuple[Tensor, Tensor], bias: Tensor | Non
     return Tensor(out, requires_grad=True, parents=parents, backward=backward)
 
 
-def _kernel(xv: np.ndarray, factors: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """``xv @ W^T`` for a dense W or a factor pair, into ``out`` if given."""
+def _kernel(xv: np.ndarray, factors: tuple) -> np.ndarray:
+    """``xv @ W^T`` for a dense W or a factor pair."""
     if len(factors) == 1:
-        return np.matmul(xv, factors[0].value.T, out=out)
-    return kron.kron_apply(factors[0].value, factors[1].value, xv, out=out)
+        return xv @ factors[0].value.T
+    return kron.kron_apply(factors[0].value, factors[1].value, xv)
 
 
 def _epilogue(y: np.ndarray, residual: np.ndarray | None, bias: Tensor | None,
@@ -300,42 +302,6 @@ def _epilogue(y: np.ndarray, residual: np.ndarray | None, bias: Tensor | None,
     if scale is not None:
         y *= scale
     return y
-
-
-def as_rows(v: np.ndarray) -> np.ndarray:
-    """``v`` as a stack of its last-axis rows, (rows, n). A stack of single
-    rows (..., 1, n) becomes (rows, 1, n): numpy multiplies each of those by
-    GEMV, which rounds otherwise than a GEMM over several rows, so a split
-    of them must keep them single."""
-    single = v.ndim > 2 and v.shape[-2] == 1
-    return v.reshape(-1, *(1,) * single, v.shape[-1])
-
-
-def _linear_rows(xv, factors, bias, residual, scale, gelu):
-    """The no-graph ``linear``: one call when the rows fit one chunk, else
-    row chunks shared by ``threads.run``."""
-    rv = None if residual is None else residual.value
-    width = xv.shape[-1]
-    n_out = factors[0].value.shape[0] * (factors[1].value.shape[0] if len(factors) == 2 else 1)
-    most = _CHUNK_BYTES // (8 * max(width, n_out))  # rows per chunk
-    if xv.size <= most * width:
-        y = _epilogue(_kernel(xv, factors), rv, bias, scale)
-        if gelu:
-            y *= _gelu_cdf(y, np.empty_like(y))  # y is at most one chunk
-        return y
-    out = np.empty((*xv.shape[:-1], n_out))
-    xs = as_rows(xv)
-    ys = out.reshape(*xs.shape[:-1], n_out)
-    rs = None if rv is None else np.broadcast_to(rv, out.shape).reshape(ys.shape)
-
-    def chunk(rows: slice) -> None:
-        y = _epilogue(_kernel(xs[rows], factors, ys[rows]), None if rs is None else rs[rows],
-                      bias, scale)
-        if gelu:
-            y *= _gelu_cdf(y, np.empty_like(y))
-
-    threads.run(chunk, threads.split(len(xs), most))
-    return out
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -5,21 +5,25 @@ line up tensor-for-tensor between a teacher and its compressed student.
 Layout is post-LN: sublayer output = LN(x + f(x)). Forward always runs
 batched; single sequences become a batch of one.
 
-A forward that records a graph keeps what the backward needs. A forward with
-no graph (a frozen model) frees each activation at its last use and holds
-only the trace plus one block per thread: the FFN runs over blocks of token
-rows, attention over blocks of score slices and each linear map over row
-chunks. Its trace keeps each layer's scaled Q and K in place of the
-(batch, heads, seq, seq) score stack, which is formed only when read.
+A forward that records a graph keeps what the backward needs. A layer with
+no graph (a frozen model) runs as three passes over blocks: token rows
+project Q, K and V; score slices form the context; token rows take the
+context through the O-projection, residual and LayerNorm, then the FFN.
+It frees each activation at its last use and holds only the trace plus
+one block per thread. Its trace keeps each layer's scaled Q and K in place
+of the (batch, heads, seq, seq) score stack, which is formed only when
+read.
 
-Those blocks are work items that the calling thread shares with a pool
-of as many threads as OpenBLAS was given at import, while every GEMM runs
-on one OpenBLAS thread (:mod:`kronekit.threads`). Each block runs the GEMMs
-and ufuncs of the unblocked, serial pass, so the values are the same
-whatever the thread count, wherever a GEMM's bits do not depend on its row
-count. That holds for the plans the tests run; in the bundled OpenBLAS it
-fails for a GEMM with few output columns over a long input, as in a plan
-whose FFN factor B has one or three rows.
+The blocks of a pass are work items that the calling thread shares with a
+pool of as many threads as OpenBLAS was given at import, N, while every
+GEMM runs on one OpenBLAS thread (:mod:`kronekit.threads`). A row pass
+splits into a multiple of N equal blocks, or runs in the caller on the
+whole arrays when it fits in one. Each block runs the GEMMs and ufuncs of
+the unblocked, serial pass, so the values are the same whatever the
+thread count, wherever a GEMM's bits do not depend on its row count. That holds for the plans the
+tests run; in the bundled OpenBLAS it fails for a GEMM with few output
+columns over a long input, as in a plan whose FFN factor B has one or
+three rows.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -43,7 +47,7 @@ from .tensor import NamedTensorStore, ShapeError
 
 # With no graph to record, each work item of the forward holds one block of these:
 _ATTENTION_BLOCK = 1 << 18  # score elements (2 MiB of float64) per attention block
-_FFN_BLOCK = 1 << 18        # FFN hidden elements (2 MiB of float64) per row block
+_ROW_BLOCK = 1 << 17        # elements of the widest row (1 MiB of float64) per row block
 
 def factor_names(slot: str) -> tuple[str, str]:
     """Checkpoint names of the (A, B) factors of a factored weight slot. The
@@ -158,12 +162,15 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
     that is a power of four (16, 64) that equals scaling the scores, exactly.
     With a graph to record, Q and K are dropped once the scores exist, V once
     the context does. With none, the context is built by
-    :func:`_attention_context` and the scores are returned as
-    :class:`FrozenScores`, which keeps Q and K in place of the stack.
+    :func:`_frozen_attention`.
     """
     b, s, d = x.shape
     if d % heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {heads} heads")
+    wo, bo = weight(params, f"{prefix}.wo"), params.get(f"{prefix}.bo")
+    if not _records_graph(params, prefix, x):
+        scores, ctx = _frozen_attention(params, prefix, x, heads)
+        return wo.apply(ctx, bo), scores
     dk = d // heads
 
     def project(w: str, **epilogue) -> Tensor:  # (b, s, heads, dk)
@@ -172,14 +179,10 @@ def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
 
     q = project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)  # (b, h, s, dk)
     k = project("k").permute(0, 2, 3, 1)                           # (b, h, dk, s)
-    if _records_graph(params, prefix, x):
-        scores = q @ k
-        v = project("v").permute(0, 2, 1, 3)
-        ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
-    else:
-        scores = FrozenScores(q.value, k.value)
-        ctx = _attention_context(q.value, k.value, project("v").permute(0, 2, 1, 3).value)
-    return weight(params, f"{prefix}.wo").apply(ctx, params.get(f"{prefix}.bo")), scores
+    scores = q @ k
+    v = project("v").permute(0, 2, 1, 3)
+    ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
+    return wo.apply(ctx, bo), scores
 
 
 class FrozenScores(Tensor):
@@ -211,60 +214,100 @@ class FrozenScores(Tensor):
         return (*q.shape[:-1], k.shape[-1])
 
 
-def _attention_context(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> Tensor:
-    """softmax(q @ k) @ v as a (b, s, h * dk) tensor with no graph.
+def _row_blocks(arrays: list[np.ndarray], most: int) -> list[tuple[np.ndarray, ...]]:
+    """The work items of a row pass: blocks of the same token rows of each
+    of ``arrays`` (of one leading shape), as views. Rows that fit in
+    ``most`` are one block of the whole arrays, so that each GEMM has the
+    shape it has in the graph path. Else :func:`threads.split` cuts the
+    stack of rows (rows, n), where a stack of single rows (..., 1, n) stays
+    one of (rows, 1, n): numpy multiplies each of those by GEMV, which
+    rounds otherwise than a GEMM over several rows, so a split must keep
+    them single."""
+    single = arrays[0].ndim > 2 and arrays[0].shape[-2] == 1
+    rows = [a.reshape(-1, *(1,) * single, a.shape[-1]) for a in arrays]
+    if len(rows[0]) <= most:
+        return [tuple(arrays)]
+    return [tuple(r[lines] for r in rows) for lines in threads.split(len(rows[0]), most)]
 
-    Runs over blocks of whole (seq x seq) score slices, one batch row's
-    heads at a time or several whole batch rows, each a work item of
-    ``threads.run``. Each block forms its scores in one array and takes the
-    softmax in place there, so a block holds one score array. Each block's
-    product is written through a (b, h, s, dk) view of the (b, s, h, dk)
-    output, so no permuted copy is made; every slice is the same GEMM as in
-    the unblocked product.
+
+def _frozen_attention(params: dict[str, Tensor], prefix: str, x: Tensor,
+                      heads: int) -> tuple[FrozenScores, Tensor]:
+    """The scores and the (b, s, d) context of the ``{prefix}.*`` attention
+    with no graph, in two passes of :func:`threads.run`.
+
+    First, blocks of token rows (:func:`_row_blocks`) project Q, K and V,
+    each into its rows of its own array. Then blocks of whole (seq x seq)
+    score slices, one batch row's heads at a time or several whole batch
+    rows, form softmax(q @ k) @ v. Each forms its scores in one array and
+    takes the softmax in place there, and writes its product through a
+    (b, h, s, dk) view of the (b, s, h, dk) context, so no permuted copy is
+    made; every slice is the same GEMM as in the unblocked product. V is
+    freed on return; the scores keep Q and K.
     """
-    b, h, s, dk = v.shape
+    b, s, d = x.shape
+    h, dk = heads, d // heads
+    maps = [(weight(params, f"{prefix}.w{w}"), params.get(f"{prefix}.b{w}"), scale)
+            for w, scale in (("q", 1.0 / np.sqrt(dk)), ("k", None), ("v", None))]
+    qkv = [np.empty(x.shape) for _ in maps]
+
+    def project(block: tuple[np.ndarray, ...]) -> None:
+        rows, *outs = block
+        for (w, bias, scale), out in zip(maps, outs):
+            out[...] = w.apply(Tensor(rows), bias, scale=scale).value
+
+    threads.run(project, _row_blocks([x.value, *qkv], _ROW_BLOCK // d))
+    q, k, v = (a.reshape(b, s, h, dk) for a in qkv)
+    q, k, v = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
     heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
     rows_per = max(1, _ATTENTION_BLOCK // (h * s * s)) if heads_per == h else 1
     ctx = np.empty((b, s, h, dk))
     ctx_heads = ctx.transpose(0, 2, 1, 3)
 
-    def block(blk: tuple[slice, slice]) -> None:
+    def context(blk: tuple[slice, slice]) -> None:
         scores = np.matmul(q[blk], k[blk])
         np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
 
-    threads.run(block, [np.s_[i:i + rows_per, j:j + heads_per]
-                        for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
-    return Tensor(ctx.reshape(b, s, h * dk))
+    threads.run(context, [np.s_[i:i + rows_per, j:j + heads_per]
+                          for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
+    return FrozenScores(q, k), Tensor(ctx.reshape(b, s, d))
 
 
-def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor, ffn_dim: int) -> Tensor:
-    """Position-wise FFN of the ``{prefix}.*`` tensors with residual and post-LN.
-
-    With no graph to record and more than ``_FFN_BLOCK / ffn_dim`` tokens,
-    it runs over the fewest equal row blocks of at most that many tokens
-    (:func:`threads.split`), each a work item of ``threads.run`` written
-    into the output, so each block in flight holds one block of the
-    ffn_dim-wide hidden. Every row is computed by the same operations
-    either way.
-    """
+def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
+    """Position-wise FFN of the ``{prefix}.*`` tensors with residual and
+    post-LN. The hidden is freed before the LayerNorm."""
     w1, w2 = weight(params, f"{prefix}.w1"), weight(params, f"{prefix}.w2")
     b1, b2 = params.get(f"{prefix}.b1"), params.get(f"{prefix}.b2")
-    gamma, beta = params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"]
+    return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x),
+                         params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"])
 
-    def rows(x: Tensor) -> Tensor:  # the hidden is freed before the LayerNorm
-        return ad.layer_norm(w2.apply(w1.apply(x, b1, gelu=True), b2, residual=x), gamma, beta)
 
-    most = _FFN_BLOCK // ffn_dim
-    if x.value.size <= most * x.shape[-1] or _records_graph(params, prefix, x):
-        return rows(x)
-    tokens = ad.as_rows(x.value)
-    out = np.empty_like(tokens)
+def _frozen_layer(params: dict[str, Tensor], i: int, x: Tensor,
+                  arch: ArchSpec) -> tuple[FrozenScores, Tensor, Tensor]:
+    """Scores, attention output and FFN output of layer ``i`` with no graph,
+    in three passes of :func:`threads.run`: the two of
+    :func:`_frozen_attention`, then blocks of token rows that each take
+    their rows of the context through the O-projection, the residual and
+    LayerNorm (the attention output) and then :func:`ffn_forward`.
 
-    def block(lines: slice) -> None:
-        out[lines] = rows(Tensor(tokens[lines])).value
+    The attention output is written over the context's own rows, which no
+    other block reads. A block's FFN hidden, and the GELU's temporary beside
+    it, hold at most ``_ROW_BLOCK`` elements each.
+    """
+    attn = f"layer.{i}.attn"
+    scores, ctx = _frozen_attention(params, attn, x, arch.heads)
+    wo, bo = weight(params, f"{attn}.wo"), params.get(f"{attn}.bo")
+    gamma, beta = params[f"{attn}.ln.gamma"], params[f"{attn}.ln.beta"]
+    out = np.empty(x.shape)
 
-    threads.run(block, threads.split(len(tokens), most))
-    return Tensor(out.reshape(x.shape))
+    def block(views: tuple[np.ndarray, ...]) -> None:
+        rows, context, ffn_out = views
+        a = ad.layer_norm(Tensor(rows) + wo.apply(Tensor(context), bo), gamma, beta)
+        context[...] = a.value
+        ffn_out[...] = ffn_forward(params, f"layer.{i}.ffn", a).value
+
+    threads.run(block, _row_blocks([x.value, ctx.value, out],
+                                   _ROW_BLOCK // max(arch.hidden, arch.ffn_dim)))
+    return scores, ctx, Tensor(out)
 
 
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
@@ -285,14 +328,16 @@ def forward(model: TransformerModel, token_ids) -> ForwardTrace:
     x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
     trace = ForwardTrace(E=x)
     for i in range(arch.layers):
-        attn = f"layer.{i}.attn"
-        a, scores = attention_forward(p, attn, x, arch.heads)
-        a = x + a                                # frees the projection
-        x = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
-        del a                                    # before the FFN runs
+        if _records_graph(p, f"layer.{i}", x):
+            attn = f"layer.{i}.attn"
+            a, scores = attention_forward(p, attn, x, arch.heads)
+            a = x + a                            # frees the projection
+            a = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+            x = ffn_forward(p, f"layer.{i}.ffn", a)
+        else:
+            scores, a, x = _frozen_layer(p, i, x, arch)
         trace.attn_scores.append(scores)
-        trace.attn_out.append(x)
-        x = ffn_forward(p, f"layer.{i}.ffn", x, arch.ffn_dim)
+        trace.attn_out.append(a)
         trace.ffn_out.append(x)
     pooled = x.mean(axis=1)                      # (batch, d)
     if arch.has_pooler:

@@ -8,9 +8,11 @@ length, the NKP of the compressed weights) round otherwise on more threads.
 N sizes the pool that :func:`run` shares a frozen forward's work items with:
 the calling thread and N - 1 pool threads. Two one-thread GEMMs side by side
 take as long as two N-thread GEMMs in turn, so the GEMMs lose little and the
-elementwise work (GELU, softmax, LayerNorm) gains the other cores. A forward
-that records a graph runs its GEMMs on the one thread and is not split.
-``OPENBLAS_NUM_THREADS=1`` gives a serial pass.
+elementwise work (GELU, softmax, LayerNorm) gains the other cores. A pass
+split by :func:`split` into more than one block has a multiple of N blocks,
+so each thread takes an equal share. A forward that records a graph runs
+its GEMMs on the one thread and is not split. ``OPENBLAS_NUM_THREADS=1``
+gives a serial pass.
 
 OpenBLAS is found as the ``libscipy_openblas*`` that numpy ships in its
 ``numpy.libs`` folder. Its ``openblas_set_num_threads_local`` acts on the
@@ -109,9 +111,13 @@ def run(fn: Callable[[T], object], items: Sequence[T]) -> None:
 
 
 def split(rows: int, most: int) -> list[slice]:
-    """``rows`` rows as the fewest slices of at most ``most`` rows each, of
-    lengths that differ by one at most, so no slice is a short remainder:
-    numpy multiplies a single row by GEMV, which rounds otherwise than the
-    GEMM of a larger block."""
+    """``rows`` rows as slices of at most ``most`` rows each, of lengths that
+    differ by one at most, so no slice is a short remainder: numpy
+    multiplies a single row by GEMV, which rounds otherwise than the GEMM of
+    a larger block. One slice if ``rows`` fit in one; else the fewest that
+    is a multiple of N, so the threads of :func:`run` get equal shares,
+    unless that would leave a slice of one row."""
     k = max(1, -(-rows // max(1, most)))
+    if k > 1:
+        k = max(k, min(-(-k // _workers) * _workers, rows // 2))
     return [slice(i * rows // k, (i + 1) * rows // k) for i in range(k)]

@@ -1,6 +1,11 @@
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import pytest
+
+from kronekit import threads
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -14,3 +19,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def config_path(name: str) -> str:
     return str(CONFIGS / name)
+
+
+@pytest.fixture
+def four_workers(monkeypatch):
+    """Four workers, as if OpenBLAS had been given four threads at import, so
+    the pool runs more threads than this box has cores."""
+    pool = ThreadPoolExecutor(3, "kronekit-test")
+    monkeypatch.setattr(threads, "_workers", 4)
+    monkeypatch.setattr(threads, "_pool", pool)
+    yield
+    pool.shutdown()

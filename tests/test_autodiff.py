@@ -124,6 +124,36 @@ def test_layer_norm_row_past_square_overflow():
         assert np.array_equal(out[1:], alone)
 
 
+def test_gelu_cdf_keeps_the_bits_of_scipy_erf():
+    # _gelu_cdf takes erf of |v| / sqrt(2) and copies v's sign back. That
+    # keeps scipy's bits because its erf computes erf(-x) as -erf(x), across
+    # its switch to erfc at |x| = 1 and its saturation near |x| = 6. A NaN
+    # stays a NaN, with v's sign bit where scipy's is always clear.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from scipy.special import erf
+    near = st.sampled_from([1.0, 6.0]).flatmap(
+        lambda m: st.floats(m * (1 - 1e-12), m * (1 + 1e-12)))
+    signed_near = st.tuples(near, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+
+    def same_bits(a, b):
+        nan = np.isnan(a)
+        return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+            a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.floats() | signed_near, min_size=1, max_size=32))
+    def check(values):
+        x = np.array(values)
+        assert same_bits(np.copysign(erf(np.abs(x)), x), erf(x))
+        with np.errstate(over="ignore"):
+            v = x * np.sqrt(2.0)  # erf's argument near x again
+        want = (erf(v * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+        assert same_bits(ad._gelu_cdf(v, np.empty_like(v)), want)
+
+    check()
+
+
 # weight kind -> (x width, weight shapes, output width)
 LINEAR_WEIGHTS = {
     "dense": (5, [(4, 5)], 4),

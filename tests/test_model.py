@@ -306,16 +306,18 @@ def _trace_tensors(trace):
 
 def test_frozen_forward_keeps_no_graph():
     # bit-equal values also guard the in-place GELU/softmax/layernorm branches
+    # (8, 8) is a distill batch: each GEMM must keep its graph-path shape
     teacher = build_dense_model(TOY, make_rng(19))
     student, _ = init_student_from_teacher(teacher, PLAN)
-    ids = make_rng(20).integers(0, TOY.vocab_size, size=(2, 4))
-    for model in (teacher, student):
-        live = forward(model, ids)
-        assert all(t._parents for t in _trace_tensors(live))
-        frozen = forward(model.freeze(), ids)
-        for a, b in zip(_trace_tensors(live), _trace_tensors(frozen), strict=True):
-            assert b._parents == () and b._backward is None and not b.requires_grad
-            assert np.array_equal(a.value, b.value)
+    for shape in ((2, 4), (8, 8)):
+        ids = make_rng(20).integers(0, TOY.vocab_size, size=shape)
+        for model in (teacher, student):
+            live = forward(_trainable(model), ids)
+            assert all(t._parents for t in _trace_tensors(live))
+            frozen = forward(model.freeze(), ids)
+            for a, b in zip(_trace_tensors(live), _trace_tensors(frozen), strict=True):
+                assert b._parents == () and b._backward is None and not b.requires_grad
+                assert np.array_equal(a.value, b.value)
 
 
 @pytest.fixture(scope="module")
@@ -357,21 +359,24 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
-    # A frozen pass at (3, 180) runs softmax @ V over blocks of 8 + 4 heads of
-    # one batch row and the FFN over 7 row blocks of 77 or 78 tokens (at most
-    # 85); at (12, 48), softmax @ V over blocks of 9 + 3 whole batch rows and
-    # the FFN over 7 blocks of 82 or 83 tokens; (2, 64) fits in one attention
-    # block and runs the FFN over 2 blocks of 64 tokens.
-    # LayerNorm runs after the embedding, after attention and per FFN block.
+def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch, four_workers):
+    # At four workers, a frozen pass at (3, 180) runs softmax @ V over blocks
+    # of 8 + 4 heads of one batch row and its last row pass over 16 blocks of
+    # 33 or 34 tokens (the fewest multiple of four of at most 42); at (12, 48),
+    # softmax @ V over blocks of 9 + 3 whole batch rows and the row pass over
+    # 16 blocks of 36 tokens; (2, 64) fits in one attention block and runs
+    # the row pass over 4 blocks of 32 tokens; (171, 4), over 20 blocks of 34
+    # or 35; and (5, 1), whose single rows each go through GEMV, in one.
+    # LayerNorm runs after the embedding, then twice per block of that pass.
     # A plan_for_ratio plan whose factors have sides of 3 and 4 runs too.
     dense = bert_models["dense"]
     models = {**bert_models, "ratio4": init_student_from_teacher(
         dense, plan_for_ratio(dense.arch, 4.0))[0].freeze()}
     softmax = _count_calls(monkeypatch, "softmax_last")
     norms = _count_calls(monkeypatch, "layer_norm")
-    for shape, softmax_calls, ffn_blocks in (((3, 180), 6, 7), ((12, 48), 2, 7),
-                                             ((2, 64), 1, 2)):
+    for shape, softmax_calls, row_blocks in (((3, 180), 6, 16), ((12, 48), 2, 16),
+                                             ((2, 64), 1, 4), ((171, 4), 1, 20),
+                                             ((5, 1), 1, 1)):
         ids = make_rng(24).integers(0, 512, size=shape)
         for model in models.values():
             live = _trace_tensors(forward(_trainable(model), ids))
@@ -379,7 +384,7 @@ def test_frozen_forward_bit_identical_at_bert_width(bert_models, monkeypatch):
             softmax.clear()
             norms.clear()
             frozen = _trace_tensors(forward(model, ids))
-            assert (len(softmax), len(norms)) == (softmax_calls, 2 + ffn_blocks)
+            assert (len(softmax), len(norms)) == (softmax_calls, 1 + 2 * row_blocks)
             softmax.clear()
             norms.clear()
             for a, b in zip(live, frozen, strict=True):
@@ -420,6 +425,41 @@ def test_frozen_forward_shares_attention_blocks_among_threads(bert_models, monke
     assert len(seen) == 12
     assert len({ident for ident, _ in seen}) > 1
     assert {count for _, count in seen} == {1}
+
+
+def test_frozen_row_passes_share_their_blocks_among_threads(bert_models, monkeypatch,
+                                                           four_workers):
+    # at (8, 128), Q/K/V run over 8 blocks of 128 tokens (at most 170) and
+    # the O-projection through the FFN over 28 blocks of 36 or 37 (at most 42)
+    runs = []
+    run = threads.run
+
+    def recorded(fn, items):
+        idents = set()
+
+        def item(it):
+            idents.add(threading.get_ident())
+            fn(it)
+        runs.append((len(items), idents))
+        run(item, items)
+    monkeypatch.setattr(threads, "run", recorded)
+    forward(bert_models["kron19"], make_rng(32).integers(0, 512, size=(8, 128)))
+    (qkv, qkv_threads), _, (rows, row_threads) = runs  # the heads' pass between
+    assert (qkv, rows) == (8, 28)
+    assert len(qkv_threads) > 1 and len(row_threads) > 1
+
+
+def test_toy_frozen_forward_runs_in_the_caller(monkeypatch, four_workers):
+    # every pass of a toy model fits in one block, so none reaches the pool
+    class NoPool:
+        def submit(self, fn):
+            raise AssertionError("a toy forward submitted work to the pool")
+    monkeypatch.setattr(threads, "_pool", NoPool())
+    teacher = build_dense_model(TOY, make_rng(33)).freeze()
+    student = init_student_from_teacher(teacher, PLAN)[0].freeze()
+    for model in (teacher, student):
+        for shape in ((8, 8), (32, TOY.max_seq_len)):
+            forward(model, make_rng(34).integers(0, TOY.vocab_size, size=shape))
 
 
 def _held_bytes(trace):

@@ -3,24 +3,13 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 import pytest
 
 from kronekit import threads
 
 from conftest import config_path
-
-
-@pytest.fixture
-def four_workers(monkeypatch):
-    """Four workers, as if OpenBLAS had been given four threads at import, so
-    the pool runs more threads than this box has cores."""
-    pool = ThreadPoolExecutor(3, "kronekit-test")
-    monkeypatch.setattr(threads, "_workers", 4)
-    monkeypatch.setattr(threads, "_pool", pool)
-    yield
-    pool.shutdown()
 
 
 def _within(seconds, body):
@@ -130,12 +119,22 @@ def test_import_sets_blas_to_one_thread_and_sizes_the_pool():
     assert proc.stdout.split("\n") == [line, line, line, ""]
 
 
+# slices at four workers where that is not the fewest: a multiple of four,
+# or fewer where four would leave a slice of one row
+AT_FOUR = {(540, 85): 8, (576, 85): 8, (128, 85): 4, (384, 42): 12, (8, 7): 4, (9, 4): 4,
+           (6, 4): 3}
+
+
 @pytest.mark.parametrize("rows, most", [(0, 5), (1, 1), (2, 1), (7, 7), (8, 7), (540, 85),
-                                        (576, 85), (128, 85), (384, 42), (3, 0)])
-def test_split_gives_the_fewest_even_slices(rows, most):
-    slices = threads.split(rows, most)
-    sizes = [s.stop - s.start for s in slices]
-    assert slices[0].start == 0 and slices[-1].stop == rows
-    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= max(1, most)
-    assert len(slices) == max(1, -(-rows // max(1, most)))
+                                        (576, 85), (128, 85), (384, 42), (3, 0), (9, 4),
+                                        (6, 4)])
+def test_split_gives_the_fewest_even_slices(rows, most, monkeypatch):
+    fewest = max(1, -(-rows // max(1, most)))
+    for workers, want in ((1, fewest), (4, AT_FOUR.get((rows, most), fewest))):
+        monkeypatch.setattr(threads, "_workers", workers)
+        slices = threads.split(rows, most)
+        sizes = [s.stop - s.start for s in slices]
+        assert slices[0].start == 0 and slices[-1].stop == rows
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= max(1, most)
+        assert len(slices) == want
