@@ -10,8 +10,7 @@ Backward passes run in a fixed topological order, so replays with identical
 inputs are bitwise deterministic. An op on tensors none of which requires
 grad records no graph, so ``TransformerModel.freeze()`` is how to run
 inference: each intermediate is freed as soon as nothing refers to it, and
-the model's forward then holds only its trace plus one block per thread
-(the graph path is unchanged).
+the model's forward then holds only its trace plus one block per thread.
 
 ``linear``, softmax and layernorm work in place on the arrays they
 allocate themselves (never on an input), with the same operations in the

@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the value each numeric flag must exceed, checked before any command runs
-FLAG_FLOORS = {"ratio": 1, "seq_len": 0, "steps": 0, "teacher_steps": -1, "seed": -1}
+FLAG_FLOORS = {"ratio": 1, "seq_len": 0, "steps": 0, "teacher_steps": -1, "seed": -1,
+               "lr": 0}
 
 # the first match wins, so no key may subclass an earlier one
 EXIT_CODES = {

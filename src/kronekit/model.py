@@ -5,25 +5,25 @@ line up tensor-for-tensor between a teacher and its compressed student.
 Layout is post-LN: sublayer output = LN(x + f(x)). Forward always runs
 batched; single sequences become a batch of one.
 
-A forward that records a graph keeps what the backward needs. A layer with
-no graph (a frozen model) runs as three passes over blocks: token rows
+Every layer, trained or frozen, runs the same three passes: token rows
 project Q, K and V; score slices form the context; token rows take the
 context through the O-projection, residual and LayerNorm, then the FFN.
-It frees each activation at its last use and holds only the trace plus
-one block per thread. Its trace keeps each layer's scaled Q and K in place
-of the (batch, heads, seq, seq) score stack, which is formed only when
-read.
+A pass that records a graph (training) runs once on the whole arrays and
+keeps what the backward needs. A frozen forward frees each activation at
+its last use and holds only its trace plus one block per thread. Its trace
+keeps each layer's scaled Q and K in place of the (batch, heads, seq, seq)
+score stack, which is formed only when read.
 
-The blocks of a pass are work items that the calling thread shares with a
-pool of as many threads as OpenBLAS was given at import, N, while every
-GEMM runs on one OpenBLAS thread (:mod:`kronekit.threads`). A row pass
-splits into a multiple of N equal blocks, or runs in the caller on the
-whole arrays when it fits in one. Each block runs the GEMMs and ufuncs of
-the unblocked, serial pass, so the values are the same whatever the
-thread count, wherever a GEMM's bits do not depend on its row count. That holds for the plans the
-tests run; in the bundled OpenBLAS it fails for a GEMM with few output
-columns over a long input, as in a plan whose FFN factor B has one or
-three rows.
+The blocks of a pass with no graph are work items that the calling thread
+shares with a pool of as many threads as OpenBLAS was given at import, N,
+while every GEMM runs on one OpenBLAS thread (:mod:`kronekit.threads`). A
+row pass splits into a multiple of N equal blocks, or runs in the caller
+on the whole arrays when it fits in one. Each block runs the GEMMs and
+ufuncs of the unblocked pass, so the values are the same whatever the
+thread count and whether a graph is recorded, wherever a GEMM's bits do
+not depend on its row count. That holds for the plans the tests run; in
+the bundled OpenBLAS it fails for a GEMM with few output columns over a
+long input, as in a plan whose FFN factor B has one or three rows.
 
 A model is its named tensors: ``TransformerModel.params`` maps each KTS1
 checkpoint name to a tensor. ``planner.layout`` is the one definition of
@@ -33,6 +33,7 @@ FLOP counts all walk it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,51 +146,104 @@ def embed(embedding: DenseWeight | KronWeight, token_ids: np.ndarray) -> Tensor:
     return tiles.reshape(*ids.shape, k * n)
 
 
-def _records_graph(params: dict[str, Tensor], prefix: str, x: Tensor) -> bool:
-    """Whether the ``{prefix}.*`` sublayer applied to ``x`` records a graph."""
-    return x.requires_grad or any(t.requires_grad for name, t in params.items()
-                                  if name.startswith(f"{prefix}."))
+def _records_graph(params: dict[str, Tensor], prefix: str, inputs: list[Tensor]) -> bool:
+    """Whether a pass over ``inputs`` in the ``{prefix}.*`` sublayer records
+    a graph."""
+    return any(x.requires_grad for x in inputs) or any(
+        t.requires_grad and name.startswith(f"{prefix}.") for name, t in params.items())
+
+
+def _row_pass(body, params: dict[str, Tensor], prefix: str, inputs: list[Tensor],
+              into: list[np.ndarray | None], widest: int) -> list[Tensor]:
+    """The tensors, each of the shape of ``inputs[0]``, that ``body(*inputs)``
+    returns: a pass over token rows of the ``{prefix}.*`` sublayer whose
+    widest row has ``widest`` elements.
+
+    A pass that records a graph, or whose rows fit in one block of
+    ``_ROW_BLOCK // widest`` rows, runs here once on the whole arrays and
+    returns its nodes, so each GEMM has its unblocked shape. Else
+    :func:`threads.run` shares blocks of the same rows of each input, and
+    each block writes its results into its own rows of the arrays ``into``
+    names, one per result: an input's array that nothing reads after the
+    pass, or None for a fresh one. :func:`threads.split` cuts the stack of
+    rows (rows, n), where a stack of single rows (..., 1, n) stays one of
+    (rows, 1, n): numpy multiplies each of those by GEMV, which rounds
+    otherwise than a GEMM over several rows, so a split must keep them
+    single.
+    """
+    shape, most = inputs[0].shape, _ROW_BLOCK // widest
+    if _records_graph(params, prefix, inputs) or math.prod(shape[:-1]) <= most:
+        return body(*inputs)
+    single = len(shape) > 2 and shape[-2] == 1
+    outs = [np.empty(shape) if out is None else out for out in into]
+    rows = [a.reshape(-1, *(1,) * single, a.shape[-1]) for a in [x.value for x in inputs] + outs]
+
+    def block(lines: slice) -> None:
+        results = body(*(Tensor(r[lines]) for r in rows[:len(inputs)]))
+        for out, t in zip(rows[len(inputs):], results, strict=True):
+            out[lines] = t.value
+
+    threads.run(block, threads.split(len(rows[0]), most))
+    return [Tensor(out) for out in outs]
 
 
 def attention_forward(params: dict[str, Tensor], prefix: str, x: Tensor,
                       heads: int) -> tuple[Tensor, Tensor]:
-    """Multi-head attention body of the ``{prefix}.*`` tensors: returns
-    (projected output, pre-softmax score stack). Residual/LN are applied by
-    the caller.
+    """Multi-head attention of the ``{prefix}.*`` tensors up to the
+    O-projection: returns the (b, s, d) context softmax(q @ k) @ v and the
+    pre-softmax score stack. The O-projection, residual and LN are applied
+    by the caller.
 
-    All heads run as one batch over (batch, heads, seq, d_k) views of Q, K
-    and V. Q is scaled by 1/sqrt(d_k) before the scores matmul; for a d_k
-    that is a power of four (16, 64) that equals scaling the scores, exactly.
-    With a graph to record, Q and K are dropped once the scores exist, V once
-    the context does. With none, the context is built by
-    :func:`_frozen_attention`.
+    Q, K and V are projected in one row pass (:func:`_row_pass`). All heads
+    then run as one batch over (batch, heads, seq, d_k) views of them. Q is
+    scaled by 1/sqrt(d_k) before the scores matmul; for a d_k that is a
+    power of four (16, 64) that equals scaling the scores, exactly.
+
+    In a frozen sublayer, :func:`threads.run` shares blocks of whole
+    (seq x seq) score slices, one batch row's heads at a time or several
+    whole batch rows. Each forms its scores in one array and takes the
+    softmax in place there, and writes its product through a (b, h, s, dk)
+    view of the (b, s, h, dk) context, so no permuted copy is made; every
+    slice is the same GEMM as in the unblocked product. V is freed on
+    return; the scores are a :class:`FrozenScores` that keeps Q and K.
     """
     b, s, d = x.shape
     if d % heads != 0:
         raise ShapeError(f"hidden {d} not divisible by {heads} heads")
-    wo, bo = weight(params, f"{prefix}.wo"), params.get(f"{prefix}.bo")
-    if not _records_graph(params, prefix, x):
-        scores, ctx = _frozen_attention(params, prefix, x, heads)
-        return wo.apply(ctx, bo), scores
     dk = d // heads
+    maps = [(weight(params, f"{prefix}.w{w}"), params.get(f"{prefix}.b{w}"), scale)
+            for w, scale in (("q", 1.0 / np.sqrt(dk)), ("k", None), ("v", None))]
 
-    def project(w: str, **epilogue) -> Tensor:  # (b, s, heads, dk)
-        out = weight(params, f"{prefix}.w{w}").apply(x, params.get(f"{prefix}.b{w}"), **epilogue)
-        return out.reshape(b, s, heads, dk)
+    def project(rows: Tensor) -> list[Tensor]:
+        return [w.apply(rows, bias, scale=scale) for w, bias, scale in maps]
 
-    q = project("q", scale=1.0 / np.sqrt(dk)).permute(0, 2, 1, 3)  # (b, h, s, dk)
-    k = project("k").permute(0, 2, 3, 1)                           # (b, h, dk, s)
-    scores = q @ k
-    v = project("v").permute(0, 2, 1, 3)
-    ctx = (ad.softmax_last(scores) @ v).permute(0, 2, 1, 3).reshape(b, s, d)
-    return wo.apply(ctx, bo), scores
+    qkv = _row_pass(project, params, prefix, [x], [None] * 3, d)
+    if _records_graph(params, prefix, qkv):
+        q, k, v = (t.reshape(b, s, heads, dk) for t in qkv)
+        scores = q.permute(0, 2, 1, 3) @ k.permute(0, 2, 3, 1)
+        ctx = ad.softmax_last(scores) @ v.permute(0, 2, 1, 3)
+        return ctx.permute(0, 2, 1, 3).reshape(b, s, d), scores
+    q, k, v = (t.value.reshape(b, s, heads, dk) for t in qkv)
+    q, k, v = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
+    heads_per = min(heads, max(1, _ATTENTION_BLOCK // (s * s)))
+    rows_per = max(1, _ATTENTION_BLOCK // (heads * s * s)) if heads_per == heads else 1
+    ctx = np.empty((b, s, heads, dk))
+    ctx_heads = ctx.transpose(0, 2, 1, 3)
+
+    def context(blk: tuple[slice, slice]) -> None:
+        scores = np.matmul(q[blk], k[blk])
+        np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
+
+    threads.run(context, [np.s_[i:i + rows_per, j:j + heads_per]
+                          for i in range(0, b, rows_per) for j in range(0, heads, heads_per)])
+    return Tensor(ctx.reshape(b, s, d)), FrozenScores(q, k)
 
 
 class FrozenScores(Tensor):
     """The pre-softmax score stack ``q @ k`` of a frozen attention layer, kept
     as its (b, h, s, dk) Q and (b, h, dk, s) K until ``.value`` is first read.
 
-    That read forms the stack by the same batched matmul the graph path runs
+    That read forms the stack by the same batched matmul a graph pass runs
     and keeps it in place of Q and K; ``.shape`` never forms it. Like any
     tensor with no graph, it has no parents and no backward."""
 
@@ -214,64 +268,6 @@ class FrozenScores(Tensor):
         return (*q.shape[:-1], k.shape[-1])
 
 
-def _row_blocks(arrays: list[np.ndarray], most: int) -> list[tuple[np.ndarray, ...]]:
-    """The work items of a row pass: blocks of the same token rows of each
-    of ``arrays`` (of one leading shape), as views. Rows that fit in
-    ``most`` are one block of the whole arrays, so that each GEMM has the
-    shape it has in the graph path. Else :func:`threads.split` cuts the
-    stack of rows (rows, n), where a stack of single rows (..., 1, n) stays
-    one of (rows, 1, n): numpy multiplies each of those by GEMV, which
-    rounds otherwise than a GEMM over several rows, so a split must keep
-    them single."""
-    single = arrays[0].ndim > 2 and arrays[0].shape[-2] == 1
-    rows = [a.reshape(-1, *(1,) * single, a.shape[-1]) for a in arrays]
-    if len(rows[0]) <= most:
-        return [tuple(arrays)]
-    return [tuple(r[lines] for r in rows) for lines in threads.split(len(rows[0]), most)]
-
-
-def _frozen_attention(params: dict[str, Tensor], prefix: str, x: Tensor,
-                      heads: int) -> tuple[FrozenScores, Tensor]:
-    """The scores and the (b, s, d) context of the ``{prefix}.*`` attention
-    with no graph, in two passes of :func:`threads.run`.
-
-    First, blocks of token rows (:func:`_row_blocks`) project Q, K and V,
-    each into its rows of its own array. Then blocks of whole (seq x seq)
-    score slices, one batch row's heads at a time or several whole batch
-    rows, form softmax(q @ k) @ v. Each forms its scores in one array and
-    takes the softmax in place there, and writes its product through a
-    (b, h, s, dk) view of the (b, s, h, dk) context, so no permuted copy is
-    made; every slice is the same GEMM as in the unblocked product. V is
-    freed on return; the scores keep Q and K.
-    """
-    b, s, d = x.shape
-    h, dk = heads, d // heads
-    maps = [(weight(params, f"{prefix}.w{w}"), params.get(f"{prefix}.b{w}"), scale)
-            for w, scale in (("q", 1.0 / np.sqrt(dk)), ("k", None), ("v", None))]
-    qkv = [np.empty(x.shape) for _ in maps]
-
-    def project(block: tuple[np.ndarray, ...]) -> None:
-        rows, *outs = block
-        for (w, bias, scale), out in zip(maps, outs):
-            out[...] = w.apply(Tensor(rows), bias, scale=scale).value
-
-    threads.run(project, _row_blocks([x.value, *qkv], _ROW_BLOCK // d))
-    q, k, v = (a.reshape(b, s, h, dk) for a in qkv)
-    q, k, v = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 3, 1), v.transpose(0, 2, 1, 3)
-    heads_per = min(h, max(1, _ATTENTION_BLOCK // (s * s)))
-    rows_per = max(1, _ATTENTION_BLOCK // (h * s * s)) if heads_per == h else 1
-    ctx = np.empty((b, s, h, dk))
-    ctx_heads = ctx.transpose(0, 2, 1, 3)
-
-    def context(blk: tuple[slice, slice]) -> None:
-        scores = np.matmul(q[blk], k[blk])
-        np.matmul(ad.softmax_last(Tensor(scores), out=scores).value, v[blk], out=ctx_heads[blk])
-
-    threads.run(context, [np.s_[i:i + rows_per, j:j + heads_per]
-                          for i in range(0, b, rows_per) for j in range(0, h, heads_per)])
-    return FrozenScores(q, k), Tensor(ctx.reshape(b, s, d))
-
-
 def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     """Position-wise FFN of the ``{prefix}.*`` tensors with residual and
     post-LN. The hidden is freed before the LayerNorm."""
@@ -281,37 +277,14 @@ def ffn_forward(params: dict[str, Tensor], prefix: str, x: Tensor) -> Tensor:
                          params[f"{prefix}.ln.gamma"], params[f"{prefix}.ln.beta"])
 
 
-def _frozen_layer(params: dict[str, Tensor], i: int, x: Tensor,
-                  arch: ArchSpec) -> tuple[FrozenScores, Tensor, Tensor]:
-    """Scores, attention output and FFN output of layer ``i`` with no graph,
-    in three passes of :func:`threads.run`: the two of
-    :func:`_frozen_attention`, then blocks of token rows that each take
-    their rows of the context through the O-projection, the residual and
-    LayerNorm (the attention output) and then :func:`ffn_forward`.
-
-    The attention output is written over the context's own rows, which no
-    other block reads. A block's FFN hidden, and the GELU's temporary beside
-    it, hold at most ``_ROW_BLOCK`` elements each.
-    """
-    attn = f"layer.{i}.attn"
-    scores, ctx = _frozen_attention(params, attn, x, arch.heads)
-    wo, bo = weight(params, f"{attn}.wo"), params.get(f"{attn}.bo")
-    gamma, beta = params[f"{attn}.ln.gamma"], params[f"{attn}.ln.beta"]
-    out = np.empty(x.shape)
-
-    def block(views: tuple[np.ndarray, ...]) -> None:
-        rows, context, ffn_out = views
-        a = ad.layer_norm(Tensor(rows) + wo.apply(Tensor(context), bo), gamma, beta)
-        context[...] = a.value
-        ffn_out[...] = ffn_forward(params, f"layer.{i}.ffn", a).value
-
-    threads.run(block, _row_blocks([x.value, ctx.value, out],
-                                   _ROW_BLOCK // max(arch.hidden, arch.ffn_dim)))
-    return scores, ctx, Tensor(out)
-
-
 def forward(model: TransformerModel, token_ids) -> ForwardTrace:
-    """Full forward pass capturing all distillation features."""
+    """Full forward pass capturing all distillation features.
+
+    Each layer runs :func:`attention_forward`, then one row pass that takes
+    the context through the O-projection, the residual and LayerNorm (the
+    attention output) and then :func:`ffn_forward`. With no graph, a block
+    of that pass holds an FFN hidden, and the GELU's temporary beside it, of
+    at most ``_ROW_BLOCK`` elements each."""
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids[None, :]
@@ -328,14 +301,16 @@ def forward(model: TransformerModel, token_ids) -> ForwardTrace:
     x = ad.layer_norm(x, p["embedding.ln.gamma"], p["embedding.ln.beta"])
     trace = ForwardTrace(E=x)
     for i in range(arch.layers):
-        if _records_graph(p, f"layer.{i}", x):
-            attn = f"layer.{i}.attn"
-            a, scores = attention_forward(p, attn, x, arch.heads)
-            a = x + a                            # frees the projection
-            a = ad.layer_norm(a, p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
-            x = ffn_forward(p, f"layer.{i}.ffn", a)
-        else:
-            scores, a, x = _frozen_layer(p, i, x, arch)
+        attn = f"layer.{i}.attn"
+        ctx, scores = attention_forward(p, attn, x, arch.heads)
+        wo, bo = weight(p, f"{attn}.wo"), p.get(f"{attn}.bo")
+
+        def output_ffn(x: Tensor, ctx: Tensor) -> list[Tensor]:
+            a = ad.layer_norm(x + wo.apply(ctx, bo), p[f"{attn}.ln.gamma"], p[f"{attn}.ln.beta"])
+            return [a, ffn_forward(p, f"layer.{i}.ffn", a)]
+
+        a, x = _row_pass(output_ffn, p, f"layer.{i}", [x, ctx], [ctx.value, None],
+                         max(arch.hidden, arch.ffn_dim))
         trace.attn_scores.append(scores)
         trace.attn_out.append(a)
         trace.ffn_out.append(x)

@@ -367,6 +367,9 @@ def test_bench_runs(capsys):
     ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--steps", "0"],
     ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--teacher-steps", "-1"],
     ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--seed", "-1"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--lr", "-0.5"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--lr", "0"],
+    ["distill", TOY_SHAPES, "--arch", TOY_ARCH, "--lr", "nan"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_store, capsys):
     out = tmp_path / "student.kts"
@@ -374,8 +377,9 @@ def test_numeric_flag_out_of_range_is_validation_error(argv, tmp_path, teacher_s
         argv = [*argv, "--teacher", str(teacher_store), "--out", str(out)]
     assert main(argv) == 2
     flag = next(a for a in argv
-                if a in ("--seq-len", "--steps", "--teacher-steps", "--seed"))
-    assert f"{argv[0]}: {flag} must be a finite number above" in capsys.readouterr().err
+                if a in ("--seq-len", "--steps", "--teacher-steps", "--seed", "--lr"))
+    floor = FLAG_FLOORS[flag[2:].replace("-", "_")]
+    assert f"{argv[0]}: {flag} must be a finite number above {floor}," in capsys.readouterr().err
     assert not out.exists()
 
 

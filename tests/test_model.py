@@ -12,9 +12,9 @@ from kronekit import autodiff as ad
 from kronekit import distill as kd
 from kronekit import threads
 from kronekit.kron import KronFactorPair, kron_product
-from kronekit.model import (DenseWeight, KronWeight, TransformerModel, attention_forward,
-                            build_dense_model, embed, forward, init_student_from_teacher,
-                            layout, model_from_store, model_to_store)
+from kronekit.model import (DenseWeight, FrozenScores, KronWeight, TransformerModel,
+                            attention_forward, build_dense_model, embed, forward,
+                            init_student_from_teacher, layout, model_from_store, model_to_store)
 from kronekit.planner import ArchSpec, make_plan, plan_for_ratio
 from kronekit.tensor import NamedTensorStore, ShapeError, make_rng
 
@@ -98,16 +98,23 @@ def test_embed_counted_exact_cost_and_values():
 
 # ----------------------------------------------------------------- attention
 
-def test_attention_forward_matches_manual_numpy():
+@pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+def test_attention_forward_matches_manual_numpy(frozen):
+    # attention_forward stops at the context; the O-projection is the caller's
     rng = make_rng(2)
     d, heads, s = 4, 2, 3
-    w = {f"attn.{k}.dense": ad.parameter(rng.standard_normal((d, d)))
-         for k in ("wq", "wk", "wv", "wo")}
-    w |= {f"attn.{k}": ad.parameter(rng.standard_normal(d)) for k in ("bq", "bk", "bv", "bo")}
+    w = {f"attn.{k}.dense": ad.parameter(rng.standard_normal((d, d))) for k in ("wq", "wk", "wv")}
+    w |= {f"attn.{k}": ad.parameter(rng.standard_normal(d)) for k in ("bq", "bk", "bv")}
+    for t in w.values():
+        t.requires_grad = not frozen
     val = {name: t.value for name, t in w.items()}
     x = ad.Tensor(rng.standard_normal((1, s, d)))
-    a, o_stack = attention_forward(w, "attn", x, heads)
-    assert a.shape == (1, s, d)
+    ctx, o_stack = attention_forward(w, "attn", x, heads)
+    assert bool(ctx._parents) is not frozen
+    # a frozen layer's scores stay its Q and K until first read
+    assert isinstance(o_stack, FrozenScores) is frozen
+    assert frozen is (getattr(o_stack, "_qk", None) is not None)
+    assert ctx.shape == (1, s, d)
     assert o_stack.shape == (1, heads, s, s)
 
     xv = x.value[0]
@@ -115,15 +122,14 @@ def test_attention_forward_matches_manual_numpy():
     k = xv @ val["attn.wk.dense"].T + val["attn.bk"]
     v = xv @ val["attn.wv.dense"].T + val["attn.bv"]
     dk = d // heads
-    ctx = []
+    want = []
     for h in range(heads):
         sl = slice(h * dk, (h + 1) * dk)
         scores = q[:, sl] @ k[:, sl].T / np.sqrt(dk)
         assert np.allclose(o_stack.value[0, h], scores, atol=1e-12)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        ctx.append((e / e.sum(axis=-1, keepdims=True)) @ v[:, sl])
-    want = np.concatenate(ctx, axis=-1) @ val["attn.wo.dense"].T + val["attn.bo"]
-    assert np.allclose(a.value[0], want, atol=1e-12)
+        want.append((e / e.sum(axis=-1, keepdims=True)) @ v[:, sl])
+    assert np.allclose(ctx.value[0], np.concatenate(want, axis=-1), atol=1e-12)
 
 
 def test_kron_weight_apply_matches_reconstruction():
@@ -449,17 +455,20 @@ def test_frozen_row_passes_share_their_blocks_among_threads(bert_models, monkeyp
     assert len(qkv_threads) > 1 and len(row_threads) > 1
 
 
-def test_toy_frozen_forward_runs_in_the_caller(monkeypatch, four_workers):
-    # every pass of a toy model fits in one block, so none reaches the pool
+def test_toy_frozen_forward_runs_in_the_caller(bert_models, monkeypatch, four_workers):
+    # every pass of a toy model fits in one block, so none reaches the pool;
+    # nor does a pass that records a graph, at any size, since a graph split
+    # among threads would record other nodes than the unblocked pass
     class NoPool:
         def submit(self, fn):
-            raise AssertionError("a toy forward submitted work to the pool")
+            raise AssertionError("a forward submitted work to the pool")
     monkeypatch.setattr(threads, "_pool", NoPool())
     teacher = build_dense_model(TOY, make_rng(33)).freeze()
     student = init_student_from_teacher(teacher, PLAN)[0].freeze()
     for model in (teacher, student):
         for shape in ((8, 8), (32, TOY.max_seq_len)):
             forward(model, make_rng(34).integers(0, TOY.vocab_size, size=shape))
+    forward(_trainable(bert_models["kron19"]), make_rng(34).integers(0, 512, size=(8, 128)))
 
 
 def _held_bytes(trace):
